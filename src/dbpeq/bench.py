@@ -218,7 +218,8 @@ def run_sweep(spec: RunSpec) -> SerReport:
                 base.update(
                     ser=errors / symbols,
                     mse=se_sum / symbols,
-                    avg_entries_per_symbol=cells[0]["bandwidth"],
+                    avg_entries_per_symbol=sum(
+                        (c["bandwidth"] for c in cells), Fraction(0)) / len(cells),
                     wallclock_s=sum(c["wallclock"] for c in cells),
                     errors=errors,
                     symbols=symbols,

@@ -14,7 +14,6 @@ the library forms exactly.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,10 +23,12 @@ import numpy as np
 from . import equalizers as eq
 from .numerics import (NotPositiveDefinite, RankOutOfRange, hermitize,
                        hpd_solve, truncated_svd)
-from .scenario import Realization
+from .scenario import Realization, sample_covariance
 
 CU = -1          # central unit id (star topology)
 OUT = -2         # decoder / output link
+
+_ITERATION = "iteration["   # phase prefix of BCD sweep t: "iteration[t]"
 
 
 class LocalityError(RuntimeError):
@@ -60,7 +61,7 @@ class Topology:
                 raise TopologyError(f"daisy link must be {src}->{src % self.C + 1}, got {src}->{dst}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     phase: str
     src: int
@@ -91,16 +92,17 @@ class BandwidthLedger:
         self.iterations: list[int] = []
         self.per_link: dict[tuple[int, int], int] = {}
 
-    def record(self, msg: Message) -> None:
-        count = msg.real_entry_count
-        if msg.phase.startswith("iteration["):
-            t = int(msg.phase[len("iteration["):-1])
-            while len(self.iterations) <= t:
-                self.iterations.append(0)
-            self.iterations[t] += count
+    def record(self, phase: str, src: int, dst: int, count: int) -> None:
+        """Add ``count`` real entries sent from ``src`` to ``dst`` in ``phase``."""
+        if phase.startswith(_ITERATION):
+            t = int(phase[len(_ITERATION):-1])
+            iterations = self.iterations
+            while len(iterations) <= t:
+                iterations.append(0)
+            iterations[t] += count
         else:
-            self.phases[msg.phase] = self.phases.get(msg.phase, 0) + count
-        link = (msg.src, msg.dst)
+            self.phases[phase] = self.phases.get(phase, 0) + count
+        link = (src, dst)
         self.per_link[link] = self.per_link.get(link, 0) + count
 
     @property
@@ -173,6 +175,8 @@ class Fabric:
         self.log: list[Message] = []
         self.record_log = record_log
         self.active: Optional[int] = None
+        # (src, dst) pairs that passed Topology.check_link
+        self._legal_links: set[tuple[int, int]] = set()
 
     @property
     def C(self) -> int:
@@ -184,31 +188,48 @@ class Fabric:
     def next_du(self, c: int) -> int:
         return c % self.C + 1
 
-    @contextmanager
-    def local(self, c: int):
-        """Scope in which only DU c's raw data may be read."""
-        prev = self.active
-        self.active = c
-        try:
-            yield self.dus[c]
-        finally:
-            self.active = prev
+    def local(self, c: int) -> "_LocalScope":
+        """Scope in which only DU c's raw data may be read; yields DU c."""
+        return _LocalScope(self, c)
 
     def send(self, phase: str, src: int, dst: int, kind: str, payload: np.ndarray) -> Message:
-        self.topology.check_link(src, dst)
+        link = (src, dst)
+        if link not in self._legal_links:
+            # an illegal link raises here and is never remembered
+            self.topology.check_link(src, dst)
+            self._legal_links.add(link)
         arr = np.asarray(payload)
-        rows, cols = (arr.shape + (1,))[:2] if arr.ndim >= 1 else (1, 1)
-        if arr.ndim == 1:
-            rows, cols = arr.shape[0], 1
-        msg = Message(phase=phase, src=src, dst=dst, kind=kind,
-                      rows=int(rows), cols=int(cols), payload=arr)
-        self.ledger.record(msg)
+        shape = arr.shape
+        rows = shape[0] if shape else 1
+        cols = shape[1] if len(shape) > 1 else 1
+        self.ledger.record(phase, src, dst, 2 * rows * cols)
+        msg = Message(phase, src, dst, kind, rows, cols, arr)
         if self.record_log:
             self.log.append(msg)
         return msg
 
     def dump_log(self) -> str:
         return "\n".join(m.log_line() for m in self.log)
+
+
+class _LocalScope:
+    """Context manager of :meth:`Fabric.local`; restores the previous scope on exit."""
+
+    __slots__ = ("_fabric", "_c", "_prev")
+
+    def __init__(self, fabric: Fabric, c: int):
+        self._fabric = fabric
+        self._c = c
+
+    def __enter__(self) -> DuState:
+        fabric = self._fabric
+        du = fabric.dus[self._c]
+        self._prev = fabric.active
+        fabric.active = self._c
+        return du
+
+    def __exit__(self, *exc) -> None:
+        self._fabric.active = self._prev
 
 
 def make_fabric(realization: Realization, y: Optional[np.ndarray], kind: str,
@@ -246,8 +267,7 @@ def _star_compress(fabric: Fabric, phase: str = "preprocessing"):
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
             nc = du.noise
-            rcc = hermitize(nc @ nc.conj().T / nc.shape[1])
-            q = eq.local_compression(du.H, rcc)
+            q = eq.local_compression(du.H, sample_covariance(nc))
             du.cache["Q"] = q
             qh = q @ du.H
             qn = q @ nc
@@ -265,7 +285,7 @@ def run_sdr_star(fabric: Fabric, es: float):
     h_eff = sum(qh)
     n_eff = sum(qn)
     y_eff = sum(qy)
-    r_eff = hermitize(n_eff @ n_eff.conj().T / n_eff.shape[1])
+    r_eff = sample_covariance(n_eff)
     return eq._compressed_lmmse(h_eff, r_eff, y_eff, es, "sdr")
 
 
@@ -279,7 +299,7 @@ def run_cdr_star(fabric: Fabric, es: float):
         raise NotPositiveDefinite(
             f"concatenated sample covariance has rank at most "
             f"{n_eff.shape[1]} < dimension {n_eff.shape[0]} (N < C*K)")
-    r_eff = hermitize(n_eff @ n_eff.conj().T / n_eff.shape[1])
+    r_eff = sample_covariance(n_eff)
     return eq._compressed_lmmse(h_eff, r_eff, y_eff, es, "cdr")
 
 
@@ -297,9 +317,7 @@ def run_bdac(fabric: Fabric, es: float) -> eq.EqualizerResult:
     partials = []
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
-            nc = du.noise
-            rcc = hermitize(nc @ nc.conj().T / nc.shape[1])
-            q = eq.local_compression(du.H, rcc)
+            q = eq.local_compression(du.H, sample_covariance(du.noise))
             du.cache["Q"] = q
             gc = q @ du.H
             k = gc.shape[0]
@@ -431,9 +449,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: int = 4,
     acc = None
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
-            nc = du.noise
-            rcc = hermitize(nc @ nc.conj().T / nc.shape[1])
-            q = eq.local_compression(du.H, rcc)
+            q = eq.local_compression(du.H, sample_covariance(du.noise))
             du.cache["Q"] = q
             du.cache["S"] = du.cache["G"] if use_lrd else du.samples
             gc = q @ du.H
@@ -468,18 +484,21 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: int = 4,
         # Z is rebound by every step, never written in place, so the
         # A and B views sent below stay valid in a recorded log.
         z = np.hstack([a, b])
+        ring = [(c, fabric.next_du(c), factors[c], fabric.du(c).cache)
+                for c in range(1, fabric.C + 1)]
+        send, local, vdot = fabric.send, fabric.local, np.vdot
         for t in range(max_sweeps):
             phase = f"iteration[{t}]"
             change = 0.0
             scale = 0.0
-            for c in range(1, fabric.C + 1):
-                with fabric.local(c) as du:
-                    w_new, z, d = eq.bcd_newton_step(factors[c], z, du.cache["W"])
-                    du.cache["W"] = w_new
-                change += np.vdot(d, d).real
-                scale += np.vdot(w_new, w_new).real
-                fabric.send(phase, c, fabric.next_du(c), "bcd_a", z[:, :k])
-                fabric.send(phase, c, fabric.next_du(c), "bcd_b", z[:, k:])
+            for c, dst, factor, cache in ring:
+                with local(c):
+                    w_new, z, d = eq.bcd_newton_step(factor, z, cache["W"])
+                    cache["W"] = w_new
+                change += vdot(d, d).real
+                scale += vdot(w_new, w_new).real
+                send(phase, c, dst, "bcd_a", z[:, :k])
+                send(phase, c, dst, "bcd_b", z[:, k:])
             n_sweeps += 1
             if eq.bcd_tol_reached(change, scale, tol):
                 break
@@ -523,7 +542,7 @@ def run_centralized(fabric: Fabric, es: float):
     h = np.vstack(hs)
     noise = np.vstack(ns)
     y = np.vstack(ys)
-    rhat = hermitize(noise @ noise.conj().T / noise.shape[1])
+    rhat = sample_covariance(noise)
     res = eq.lmmse_centralized(h, rhat, es)
     return res, res.W @ y
 

@@ -34,6 +34,7 @@ from .numerics import (
     hpd_solve,
     truncated_svd,
 )
+from .scenario import sample_covariance
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _compress_blocks(h_blocks, y_blocks, noise_blocks):
     """Per-cluster (Q_c H_c, Q_c y_c, Q_c n_c) from locally estimated R_cc."""
     qh, qy, qn = [], [], []
     for hc, yc, nc in zip(h_blocks, y_blocks, noise_blocks):
-        rcc = hermitize(nc @ nc.conj().T / nc.shape[1])
+        rcc = sample_covariance(nc)
         q = local_compression(hc, rcc)
         qh.append(q @ hc)
         qy.append(q @ yc)
@@ -140,7 +141,7 @@ def sdr_mmse(h_blocks, y_blocks, noise_blocks, es: float):
     h_eff = sum(qh)
     y_eff = sum(qy)
     n_eff = sum(qn)
-    r_eff = hermitize(n_eff @ n_eff.conj().T / n_eff.shape[1])
+    r_eff = sample_covariance(n_eff)
     return _compressed_lmmse(h_eff, r_eff, y_eff, es, "sdr")
 
 
@@ -158,7 +159,7 @@ def cdr_mmse(h_blocks, y_blocks, noise_blocks, es: float):
         raise NotPositiveDefinite(
             f"concatenated sample covariance has rank at most "
             f"{n_eff.shape[1]} < dimension {n_eff.shape[0]} (N < C*K)")
-    r_eff = hermitize(n_eff @ n_eff.conj().T / n_eff.shape[1])
+    r_eff = sample_covariance(n_eff)
     return _compressed_lmmse(h_eff, r_eff, y_eff, es, "cdr")
 
 
@@ -332,7 +333,7 @@ def bdac_state(h_blocks, noise_blocks, sample_blocks, es: float
     the exact same path so protocol and library agree bit for bit.
     """
     k = h_blocks[0].shape[1]
-    qs = [local_compression(hc, hermitize(nc @ nc.conj().T / nc.shape[1]))
+    qs = [local_compression(hc, sample_covariance(nc))
           for hc, nc in zip(h_blocks, noise_blocks)]
     gram = hermitize(sum(q @ hc for q, hc in zip(qs, h_blocks)))
     atot = gram + np.eye(k) / es
@@ -344,7 +345,7 @@ def bdac_state(h_blocks, noise_blocks, sample_blocks, es: float
 
 def bcd_init_bdac(h_blocks, noise_blocks, es: float) -> list[np.ndarray]:
     """BDAC blocks from locally estimated R_cc, the standard BCD start."""
-    r_blocks = [hermitize(nc @ nc.conj().T / nc.shape[1]) for nc in noise_blocks]
+    r_blocks = [sample_covariance(nc) for nc in noise_blocks]
     return list(bdac_mmse(h_blocks, r_blocks, es).blocks)
 
 

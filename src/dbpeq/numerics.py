@@ -62,10 +62,6 @@ def as_cmatrix(a) -> np.ndarray:
     return np.ascontiguousarray(m)
 
 
-def conj_transpose(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^H)/2; removes floating-point drift from sample covariances."""
     a = np.asarray(a)
@@ -76,24 +72,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def frob_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(alpha: complex, a: np.ndarray) -> np.ndarray:
-    return alpha * np.asarray(a)
 
 
 def hpd_factor(a: np.ndarray):

@@ -113,6 +113,26 @@ class TestRunSweep:
         assert report.row("lmmse", 10.0)["avg_entries_per_symbol"] == \
             dbpnet.formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh)
 
+    def test_tol_mode_bandwidth_is_exact_mean_over_trials(self):
+        # converge-mode sweep counts differ by trial, so the row must
+        # average every trial's ledger, not report trial 0's
+        from fractions import Fraction
+        from dbpeq import dbpnet, equalizers as eq
+        from dbpeq.scenario import gen_realization
+        cfg = _cfg().with_updates(snr_db=10.0)
+        spec = _spec(algorithms=(AlgoSpec("bcd", tol=1e-3),), trials=3,
+                     snr_grid=(10.0,))
+        per_trial = []
+        for trial in range(3):
+            rz = gen_realization(cfg, trial)
+            res = eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), cfg.Es,
+                               tol=1e-3, max_sweeps=10000)
+            per_trial.append(dbpnet.formula_bcd(cfg.C, cfg.K, cfg.N,
+                                                res.iterations, cfg.n_coh))
+        assert len(set(per_trial)) > 1
+        row = bench.run_sweep(spec).row("bcd", 10.0)
+        assert row["avg_entries_per_symbol"] == sum(per_trial, Fraction(0)) / 3
+
 
 def _report(rows):
     rep = SerReport()

@@ -61,6 +61,16 @@ class TestTopology:
         with pytest.raises(TopologyError):
             dbpnet.Fabric(dbpnet.Topology("star", 3), [])
 
+    def test_illegal_link_raises_on_every_send(self):
+        # legal links are remembered after one check; illegal ones never are
+        fab, _, _ = _fabric(_cfg(), kind="daisy")
+        payload = np.zeros((2, 3))
+        for _ in range(3):
+            fab.send("preprocessing", 1, 2, "k", payload)
+            with pytest.raises(TopologyError):
+                fab.send("preprocessing", 1, 3, "k", payload)
+        assert fab.ledger.total == 3 * 12
+
 
 class TestLocality:
     def test_foreign_read_raises(self):
@@ -86,6 +96,33 @@ class TestLocality:
                 _ = fab.du(2).H
             with pytest.raises(LocalityError):
                 _ = fab.du(2).H
+
+    def test_scope_restores_when_body_raises(self):
+        fab, _, _ = _fabric(_cfg())
+        with fab.local(1):
+            with pytest.raises(ZeroDivisionError):
+                with fab.local(2) as du:
+                    assert du is fab.du(2)
+                    _ = 1 / 0
+            assert fab.active == 1
+            with pytest.raises(LocalityError):
+                _ = fab.du(2).H
+        assert fab.active is None
+
+    def test_tol_loop_steps_run_in_their_du_scope(self, monkeypatch):
+        fab, _, _ = _fabric(_cfg(), kind="daisy")
+        step = eq.bcd_newton_step
+
+        def snooping_step(factor, z, w_c):
+            own = fab.active
+            assert own is not None
+            _ = fab.du(own).H        # own data is fine
+            _ = fab.du(own % fab.C + 1).H
+            return step(factor, z, w_c)
+
+        monkeypatch.setattr(eq, "bcd_newton_step", snooping_step)
+        with pytest.raises(LocalityError):
+            dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-8)
 
     def test_samples_are_scaled_noise(self):
         fab, rz, _ = _fabric(_cfg())
@@ -114,6 +151,16 @@ class TestMessages:
         assert totals["iteration[0]"] == fab.ledger.iterations[0]
         assert totals["iteration[1]"] == fab.ledger.iterations[1]
         assert totals["symbol_estimation"] == fab.ledger.phases["symbol_estimation"]
+
+    def test_replay_matches_ledger_in_tol_mode(self):
+        fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
+        res, _ = dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-6)
+        assert res.iterations > 1
+        assert len(fab.ledger.iterations) == res.iterations
+        expected = {p: v for p, v in fab.ledger.phases.items() if v}
+        expected.update({f"iteration[{t}]": v
+                         for t, v in enumerate(fab.ledger.iterations)})
+        assert dbpnet.replay_totals(fab.dump_log()) == expected
 
     def test_tol_mode_payloads_are_not_aliased(self):
         # the log keeps every payload, so no message may share memory

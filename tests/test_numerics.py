@@ -44,19 +44,6 @@ class TestHelpers:
         with pytest.raises(numerics.ShapeMismatch):
             numerics.hermitize(np.zeros((2, 3)))
 
-    def test_matmul_shape_check(self):
-        with pytest.raises(numerics.ShapeMismatch):
-            numerics.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_add_shape_check(self):
-        with pytest.raises(numerics.ShapeMismatch):
-            numerics.add(np.zeros((2, 3)), np.zeros((3, 2)))
-
-    def test_conj_transpose(self):
-        rng = np.random.default_rng(2)
-        a = _rand_complex(rng, (3, 5))
-        np.testing.assert_array_equal(numerics.conj_transpose(a), a.conj().T)
-
 
 class TestHpdSolve:
     def test_matches_numpy_solve(self):
