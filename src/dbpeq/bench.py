@@ -20,17 +20,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dbpnet, equalizers as eq
+from . import dbpnet
 from .numerics import NumericsError
 from .scenario import (
+    ConfigError,
     SystemConfig,
     gen_realization,
     gen_symbol_block,
-    sample_covariance,
     slice_symbols,
 )
 
-ALGORITHMS = ("zf", "lmmse", "bdac", "sdr", "cdr", "bcd", "bcd-lrd")
+ALGORITHMS = tuple(dbpnet.ALGORITHMS)
 
 CSV_FIELDS = ("algorithm", "snr_db", "iot_db", "M", "C", "K", "N", "T", "r",
               "ser", "mse", "avg_entries_per_symbol", "wallclock_s")
@@ -42,17 +42,29 @@ class InsufficientErrors(ValueError):
 
 @dataclass(frozen=True)
 class AlgoSpec:
-    """One algorithm to benchmark, with its iteration/rank parameters."""
+    """One algorithm to benchmark, with its iteration/rank parameters.
+
+    BCD runs ``T`` sweeps, or converges to ``tol``, or runs 4 sweeps if
+    neither is given; invalid values raise ConfigError.
+    """
 
     name: str
-    T: Optional[int] = None       # BCD sweep count (None = converge to tol)
+    T: Optional[int] = None       # BCD sweep count
     r: Optional[int] = None       # LRD rank
     tol: Optional[float] = None   # BCD convergence tolerance
     label: str = ""
 
     def __post_init__(self):
         if self.name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.name!r}")
+            raise ConfigError(f"unknown algorithm {self.name!r}")
+        if self.T is not None and self.tol is not None:
+            raise ConfigError("give a BCD sweep count T or a tolerance tol, not both")
+        if self.T is not None and self.T < 0:
+            raise ConfigError(f"BCD sweep count T must be >= 0, got {self.T}")
+        if self.tol is not None and not self.tol > 0:
+            raise ConfigError(f"BCD tolerance must be > 0, got {self.tol}")
+        if self.r is not None and self.r < 1:
+            raise ConfigError(f"LRD rank r must be >= 1, got {self.r}")
         if not self.label:
             object.__setattr__(self, "label", self.name)
 
@@ -77,40 +89,21 @@ class RunSpec:
 
 
 def default_algo(name: str, cfg: SystemConfig, T: int = 4, r: Optional[int] = None) -> AlgoSpec:
-    if name == "bcd-lrd":
-        return AlgoSpec(name, T=T, r=r if r is not None else cfg.n_interf)
-    if name == "bcd":
-        return AlgoSpec(name, T=T)
-    return AlgoSpec(name)
+    """The spec of ``name`` with the sweep count and rank (default n_interf) it takes."""
+    row = dbpnet.ALGORITHMS.get(name)
+    takes = row.params if row else ()
+    return AlgoSpec(name, T=T if "T" in takes else None,
+                    r=(cfg.n_interf if r is None else r) if "r" in takes else None)
 
 
 def _run_algorithm(algo: AlgoSpec, cfg: SystemConfig, realization, block):
     """One algorithm on one realization; returns (shat, per-symbol bandwidth)."""
-    es = cfg.Es
-    if algo.name == "lmmse":
-        rhat = sample_covariance(realization.noise)
-        res = eq.lmmse_centralized(realization.H, rhat, es)
-        return res.W @ block.Y, dbpnet.formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh)
-    if algo.name == "zf":
-        res = eq.zf_centralized(realization.H)
-        return res.W @ block.Y, dbpnet.formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh)
-
-    kind = "daisy" if algo.name in ("bcd", "bcd-lrd") else "star"
-    fabric = dbpnet.make_fabric(realization, block.Y, kind, n_coh=cfg.n_coh)
-    if algo.name == "bdac":
-        dbpnet.run_bdac(fabric, es)
-        shat = dbpnet.accumulate_symbols(fabric)
-    elif algo.name == "sdr":
-        _, shat = dbpnet.run_sdr_star(fabric, es)
-    elif algo.name == "cdr":
-        _, shat = dbpnet.run_cdr_star(fabric, es)
-    else:
-        use_lrd = algo.name == "bcd-lrd"
-        sweeps = algo.T if algo.T is not None else 4
-        _, shat = dbpnet.run_bcd_daisy(
-            fabric, es, sweeps=sweeps, use_lrd=use_lrd,
-            r=algo.r, tol=algo.tol,
-            max_sweeps=200 if algo.tol is None else 10000)
+    row = dbpnet.ALGORITHMS[algo.name]
+    if row.central is not None:
+        res = row.central(realization.H, realization.noise, cfg.Es)
+        return res.W @ block.Y, row.entries(cfg, algo)
+    fabric = dbpnet.make_fabric(realization, block.Y, row.topology, n_coh=cfg.n_coh)
+    shat = row.run(fabric, cfg.Es, algo)
     return shat, fabric.ledger.per_symbol_average()
 
 

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bench, dbpnet, verify
-from .bench import ALGORITHMS, AlgoSpec, RunSpec, default_algo
+from .bench import ALGORITHMS, RunSpec, default_algo
+from .numerics import NumericsError
 from .scenario import ConfigError, SystemConfig, gen_realization, gen_symbol_block
 
 _CONFIG_KEYS = {
@@ -145,21 +146,10 @@ def _dump_messages(spec: RunSpec, path: str) -> None:
     block = gen_symbol_block(cfg, rz, 0)
     lines = []
     for algo in spec.algorithms:
-        if algo.name in ("lmmse", "zf"):
-            continue
-        kind = "daisy" if algo.name in ("bcd", "bcd-lrd") else "star"
-        fab = dbpnet.make_fabric(rz, block.Y, kind, n_coh=cfg.n_coh,
+        row = dbpnet.ALGORITHMS[algo.name]
+        fab = dbpnet.make_fabric(rz, block.Y, row.topology, n_coh=cfg.n_coh,
                                  record_log=True)
-        if algo.name == "sdr":
-            dbpnet.run_sdr_star(fab, cfg.Es)
-        elif algo.name == "cdr":
-            dbpnet.run_cdr_star(fab, cfg.Es)
-        elif algo.name == "bdac":
-            dbpnet.run_bdac(fab, cfg.Es)
-            dbpnet.accumulate_symbols(fab)
-        else:
-            dbpnet.run_bcd_daisy(fab, cfg.Es, sweeps=algo.T,
-                                 use_lrd=(algo.name == "bcd-lrd"), r=algo.r)
+        row.run(fab, cfg.Es, algo)
         lines.append(f"# algorithm={algo.label}")
         lines.append(fab.dump_log())
     with open(path, "w", encoding="utf-8") as fh:
@@ -191,44 +181,30 @@ def cmd_bandwidth(args: argparse.Namespace) -> int:
         r = int(settings["r"]) if settings["r"] is not None else k
         cfg = SystemConfig(M=m, K=k, C=c, N=n, n_coh=ncoh,
                            seed=int(settings["seed"]))
+        algos = [default_algo(name, cfg, T=t, r=r) for name in ALGORITHMS]
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail_config(str(exc))
 
     rz = gen_realization(cfg, 0)
     block = gen_symbol_block(cfg, rz, 0)
-
-    def simulate(name: str) -> Fraction:
-        kind = "daisy" if name in ("bcd", "bcd-lrd") else "star"
-        fab = dbpnet.make_fabric(rz, block.Y, kind, n_coh=ncoh)
-        if name == "centralized":
-            dbpnet.run_centralized(fab, cfg.Es)
-        elif name == "sdr":
-            dbpnet.run_sdr_star(fab, cfg.Es)
-        elif name == "cdr":
-            dbpnet.run_cdr_star(fab, cfg.Es)
-        elif name == "bcd":
-            dbpnet.run_bcd_daisy(fab, cfg.Es, sweeps=t)
-        else:
-            dbpnet.run_bcd_daisy(fab, cfg.Es, sweeps=t, use_lrd=True, r=r)
-        return fab.ledger.per_symbol_average()
-
-    rows = [
-        ("centralized", dbpnet.formula_centralized(m, k, n, ncoh)),
-        ("sdr", dbpnet.formula_dr(c, k, n, ncoh)),
-        ("cdr", dbpnet.formula_dr(c, k, n, ncoh)),
-        ("bcd", dbpnet.formula_bcd(c, k, n, t, ncoh)),
-        ("bcd-lrd", dbpnet.formula_bcd_lrd_ledger(rz.partition.sizes, k, n, t,
-                                                  r, ncoh)),
-    ]
     print(f"M={m} K={k} C={c} N={n} T={t} r={r} ncoh={ncoh}")
     print(f"{'algorithm':<12} {'formula':>14} {'ledger':>14} {'match':>6}")
     ok = True
-    for name, want in rows:
-        got = simulate(name)
-        match = got == want
-        ok &= match
-        print(f"{name:<12} {_fmt_frac(want):>14} {_fmt_frac(got):>14} "
-              f"{'yes' if match else 'NO':>6}")
+    for algo in algos:
+        row = dbpnet.ALGORITHMS[algo.name]
+        want = row.entries(cfg, algo)
+        fab = dbpnet.make_fabric(rz, block.Y, row.topology, n_coh=ncoh)
+        try:
+            row.run(fab, cfg.Es, algo)
+        except NumericsError as exc:
+            ok = False
+            print(f"{algo.name:<12} {_fmt_frac(want):>14} {'FAIL':>14} "
+                  f"{type(exc).__name__}: {exc}")
+            continue
+        got = fab.ledger.per_symbol_average()
+        ok &= got == want
+        print(f"{algo.name:<12} {_fmt_frac(want):>14} {_fmt_frac(got):>14} "
+              f"{'yes' if got == want else 'NO':>6}")
     aggregate = dbpnet.formula_bcd_lrd_aggregate(c, m, k, n, t, r, ncoh)
     ledger = dbpnet.formula_bcd_lrd_ledger(rz.partition.sizes, k, n, t, r, ncoh)
     delta = aggregate - ledger

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import equalizers as eq
-from .numerics import (NotPositiveDefinite, RankOutOfRange, hermitize,
-                       hpd_solve, truncated_svd)
-from .scenario import Realization, sample_covariance
+from .numerics import RankOutOfRange, hermitize, hpd_solve
+from .scenario import Realization, balanced_partition, sample_covariance
 
 CU = -1          # central unit id (star topology)
 OUT = -2         # decoder / output link
@@ -84,8 +83,6 @@ class Message:
 class BandwidthLedger:
     """Per-phase and per-link counts of real entries moved over the fabric."""
 
-    ONE_TIME_PHASES = ("preprocessing", "lrd")
-
     def __init__(self, n_coh: int):
         self.n_coh = int(n_coh)
         self.phases: dict[str, int] = {"preprocessing": 0, "lrd": 0, "symbol_estimation": 0}
@@ -118,7 +115,9 @@ class DuState:
     """One distributed unit: local channel block, pilot samples, received signals.
 
     Raw local data is readable only inside ``fabric.local(id)``; anything
-    a DU learns from elsewhere must arrive as a Message payload.
+    a DU learns from elsewhere must arrive as a Message payload. A DU
+    shares its fabric's one-element scope cell, not the fabric itself,
+    so a fabric is freed as soon as the last outside reference goes.
     """
 
     def __init__(self, du_id: int, h: np.ndarray, noise: np.ndarray,
@@ -127,15 +126,15 @@ class DuState:
         self._h = h
         self._noise = noise
         self._y = y
-        self._fabric: Optional["Fabric"] = None
+        self._scope: list[Optional[int]] = [None]
         # protocol-local caches (compression matrix, current W block, ...)
         self.cache: dict = {}
 
     def _check(self):
-        f = self._fabric
-        if f is not None and f.active is not None and f.active != self.id:
+        active = self._scope[0]
+        if active is not None and active != self.id:
             raise LocalityError(
-                f"DU {f.active} attempted to read raw data of DU {self.id}")
+                f"DU {active} attempted to read raw data of DU {self.id}")
 
     @property
     def H(self) -> np.ndarray:
@@ -169,18 +168,24 @@ class Fabric:
             raise TopologyError("DU count does not match topology")
         self.topology = topology
         self.dus = {du.id: du for du in dus}
+        # id of the DU whose local scope is open, or None
+        self._scope: list[Optional[int]] = [None]
         for du in dus:
-            du._fabric = self
+            du._scope = self._scope
         self.ledger = ledger if ledger is not None else BandwidthLedger(n_coh)
         self.log: list[Message] = []
         self.record_log = record_log
-        self.active: Optional[int] = None
         # (src, dst) pairs that passed Topology.check_link
         self._legal_links: set[tuple[int, int]] = set()
 
     @property
     def C(self) -> int:
         return self.topology.C
+
+    @property
+    def active(self) -> Optional[int]:
+        """Id of the DU whose local scope is open, or None."""
+        return self._scope[0]
 
     def du(self, c: int) -> DuState:
         return self.dus[c]
@@ -189,7 +194,10 @@ class Fabric:
         return c % self.C + 1
 
     def local(self, c: int) -> "_LocalScope":
-        """Scope in which only DU c's raw data may be read; yields DU c."""
+        """Scope in which only DU c's raw data may be read; yields DU c.
+
+        It may be entered again after it exits, but not while it is open.
+        """
         return _LocalScope(self, c)
 
     def send(self, phase: str, src: int, dst: int, kind: str, payload: np.ndarray) -> Message:
@@ -215,21 +223,20 @@ class Fabric:
 class _LocalScope:
     """Context manager of :meth:`Fabric.local`; restores the previous scope on exit."""
 
-    __slots__ = ("_fabric", "_c", "_prev")
+    __slots__ = ("_du", "_cell", "_prev")
 
     def __init__(self, fabric: Fabric, c: int):
-        self._fabric = fabric
-        self._c = c
+        self._du = fabric.dus[c]
+        self._cell = fabric._scope
 
     def __enter__(self) -> DuState:
-        fabric = self._fabric
-        du = fabric.dus[self._c]
-        self._prev = fabric.active
-        fabric.active = self._c
-        return du
+        cell = self._cell
+        self._prev = cell[0]
+        cell[0] = self._du.id
+        return self._du
 
     def __exit__(self, *exc) -> None:
-        self._fabric.active = self._prev
+        self._cell[0] = self._prev
 
 
 def make_fabric(realization: Realization, y: Optional[np.ndarray], kind: str,
@@ -262,7 +269,10 @@ def replay_totals(log_text: str) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 def _star_compress(fabric: Fabric, phase: str = "preprocessing"):
-    """Each DU compresses locally and ships (Q_c H_c, {Q_c n_c^i}, Q_c y_c)."""
+    """Each DU compresses locally and ships (Q_c H_c, {Q_c n_c^i}, Q_c y_c).
+
+    Returns the payloads as the lists (Q_c H_c), (Q_c n_c), (Q_c y_c).
+    """
     qh_msgs, qn_msgs, qy_msgs = [], [], []
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
@@ -281,37 +291,24 @@ def _star_compress(fabric: Fabric, phase: str = "preprocessing"):
 
 def run_sdr_star(fabric: Fabric, es: float):
     """Superimposed DR equalization over the star fabric."""
-    qh, qn, qy = _star_compress(fabric)
-    h_eff = sum(qh)
-    n_eff = sum(qn)
-    y_eff = sum(qy)
-    r_eff = sample_covariance(n_eff)
-    return eq._compressed_lmmse(h_eff, r_eff, y_eff, es, "sdr")
+    return eq.dr_combine(*_star_compress(fabric), es, concatenate=False)
 
 
 def run_cdr_star(fabric: Fabric, es: float):
     """Concatenated DR equalization; identical transfers to run_sdr_star."""
-    qh, qn, qy = _star_compress(fabric)
-    h_eff = np.vstack(qh)
-    n_eff = np.vstack(qn)
-    y_eff = np.vstack(qy)
-    if n_eff.shape[1] < n_eff.shape[0]:
-        raise NotPositiveDefinite(
-            f"concatenated sample covariance has rank at most "
-            f"{n_eff.shape[1]} < dimension {n_eff.shape[0]} (N < C*K)")
-    r_eff = sample_covariance(n_eff)
-    return eq._compressed_lmmse(h_eff, r_eff, y_eff, es, "cdr")
+    return eq.dr_combine(*_star_compress(fabric), es, concatenate=True)
 
 
 # ---------------------------------------------------------------------------
 # BDAC (either topology)
 # ---------------------------------------------------------------------------
 
-def run_bdac(fabric: Fabric, es: float) -> eq.EqualizerResult:
+def run_bdac(fabric: Fabric, es: float) -> tuple[eq.EqualizerResult, np.ndarray]:
     """Decentralized block-diagonal-covariance MMSE.
 
     K x K Gram partials flow up (star) or around the ring (daisy); the
-    summed Gram flows back and each DU solves for its own W_c.
+    summed Gram flows back and each DU solves for its own W_c. Returns
+    the result and the symbol estimates of :func:`accumulate_symbols`.
     """
     k = None
     partials = []
@@ -348,7 +345,8 @@ def run_bdac(fabric: Fabric, es: float) -> eq.EqualizerResult:
             du.cache["W"] = wc
         blocks.append(wc)
     w = np.hstack(blocks)
-    return eq.EqualizerResult(W=w, blocks=tuple(blocks), algorithm="bdac")
+    return (eq.EqualizerResult(W=w, blocks=tuple(blocks), algorithm="bdac"),
+            accumulate_symbols(fabric))
 
 
 def accumulate_symbols(fabric: Fabric) -> np.ndarray:
@@ -376,7 +374,7 @@ def accumulate_symbols(fabric: Fabric) -> np.ndarray:
 # Daisy-chain LRD and BCD
 # ---------------------------------------------------------------------------
 
-def run_lrd_daisy(fabric: Fabric, r: int) -> list[np.ndarray]:
+def run_lrd_daisy(fabric: Fabric, r: int) -> None:
     """Sequential rank-r decomposition relay; stores G_c in each DU's cache.
 
     DU c relays D_c (cumulative-rows x r) and V_c (N x r) to its
@@ -388,35 +386,24 @@ def run_lrd_daisy(fabric: Fabric, r: int) -> list[np.ndarray]:
     n_samples = next(iter(fabric.dus.values()))._noise.shape[1]
     if r > min(m_total, n_samples):
         raise RankOutOfRange(f"rank {r} exceeds min(M, N)")
-    d_prev = None
-    v_prev = None
+    d = v = None
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
-            s_c = du.samples
-            stack = s_c if d_prev is None else np.vstack([d_prev @ v_prev.conj().T, s_c])
-            dec = truncated_svd(stack, min(r, *stack.shape))
-            d_c = dec.U * dec.S
-            v_c = dec.V
+            d, v = eq.lrd_stage(d, v, du.samples, r)
         if c < fabric.C:
-            fabric.send("lrd", c, fabric.next_du(c), "lrd_d", d_c)
-            fabric.send("lrd", c, fabric.next_du(c), "lrd_v", v_c)
-        d_prev, v_prev = d_c, v_c
-    v_final = v_prev
-    g_blocks = [None] * fabric.C
-    # ring broadcast: C -> 1 -> 2 -> ... -> C, one hop per link
+            fabric.send("lrd", c, fabric.next_du(c), "lrd_d", d)
+            fabric.send("lrd", c, fabric.next_du(c), "lrd_v", v)
+    # ring broadcast of the final V: C -> 1 -> 2 -> ... -> C, one hop per link
     src = fabric.C
     for _ in range(fabric.C):
         dst = fabric.next_du(src)
-        fabric.send("lrd", src, dst, "lrd_v_broadcast", v_final)
+        fabric.send("lrd", src, dst, "lrd_v_broadcast", v)
         with fabric.local(dst) as du:
-            g_c = du.samples @ v_final
-            du.cache["G"] = g_c
-        g_blocks[dst - 1] = g_c
+            du.cache["G"] = du.samples @ v
         src = dst
-    return g_blocks
 
 
-def run_bcd_daisy(fabric: Fabric, es: float, sweeps: int = 4,
+def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
                   use_lrd: bool = False, r: Optional[int] = None,
                   tol: Optional[float] = None, max_sweeps: int = 200
                   ) -> tuple[eq.EqualizerResult, np.ndarray]:
@@ -428,13 +415,11 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: int = 4,
     forms its BDAC initial block. Every sweep passes (A, B) around the
     ring as two messages; symbols are accumulated in a final ring pass.
 
-    Without ``tol`` the ring runs ``sweeps`` sweeps of
-    :func:`dbpeq.equalizers.bcd_sweep_step`. With ``tol`` (``sweeps`` is
-    then ignored) it runs converge mode: the algebraically identical
-    block-Newton step :func:`dbpeq.equalizers.bcd_newton_step` until the
-    relative block change drops below ``tol`` or ``max_sweeps`` sweeps
-    have run. Its result is promised to ``tol``, not to the bits of a
-    fixed-sweep run. Either way the filter is bit-identical to
+    The sweeps run in :func:`dbpeq.equalizers.bcd_iterate`, each block
+    step inside its DU's scope, under its one rule: ``tol`` runs converge
+    mode for at most ``max_sweeps`` sweeps, otherwise ``sweeps`` sweeps
+    run (4 if neither is given), and giving both raises ValueError.
+    Either way the filter is bit-identical to
     :func:`dbpeq.equalizers.bcd_solve` run in the same mode.
     """
     if fabric.topology.kind != "daisy":
@@ -444,10 +429,11 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: int = 4,
             raise ValueError("use_lrd requires a rank r")
         run_lrd_daisy(fabric, r)
 
+    ring = range(1, fabric.C + 1)
     k = None
     # pass 1: Gram accumulation around the ring
     acc = None
-    for c in range(1, fabric.C + 1):
+    for c in ring:
         with fabric.local(c) as du:
             q = eq.local_compression(du.H, sample_covariance(du.noise))
             du.cache["Q"] = q
@@ -459,63 +445,40 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: int = 4,
     gram = hermitize(acc)
     atot = gram + np.eye(k) / es
 
-    # pass 2: relay the summed Gram, accumulate B0 = sum_j W_j0 S_j
+    # pass 2: relay the summed Gram, accumulate B0 = sum_j W_j0 S_j, and
+    # factor each DU's block Gram
     b_acc = None
-    for c in range(1, fabric.C + 1):
+    factors = []
+    for c in ring:
         with fabric.local(c) as du:
             w0 = hpd_solve(atot, du.cache["Q"])
             du.cache["W"] = w0
             part = w0 @ du.cache["S"]
+            factors.append(eq.BcdBlockFactor(du.H, du.cache["S"], es,
+                                             newton=tol is not None))
         b_acc = part if b_acc is None else b_acc + part
         fabric.send("preprocessing", c, fabric.next_du(c), "gram_total", gram)
         fabric.send("preprocessing", c, fabric.next_du(c), "b_acc", b_acc)
-    a = hpd_solve(atot, gram)
-    b = b_acc
+    z = np.hstack([hpd_solve(atot, gram), b_acc])
 
-    converge = tol is not None
-    factors = {}
-    for c in range(1, fabric.C + 1):
-        with fabric.local(c) as du:
-            factors[c] = eq.BcdBlockFactor(du.H, du.cache["S"], es,
-                                           newton=converge)
+    send = fabric.send
+    hops = [(c, fabric.next_du(c)) for c in ring]
 
-    n_sweeps = 0
-    if converge:
-        # Z is rebound by every step, never written in place, so the
-        # A and B views sent below stay valid in a recorded log.
-        z = np.hstack([a, b])
-        ring = [(c, fabric.next_du(c), factors[c], fabric.du(c).cache)
-                for c in range(1, fabric.C + 1)]
-        send, local, vdot = fabric.send, fabric.local, np.vdot
-        for t in range(max_sweeps):
-            phase = f"iteration[{t}]"
-            change = 0.0
-            scale = 0.0
-            for c, dst, factor, cache in ring:
-                with local(c):
-                    w_new, z, d = eq.bcd_newton_step(factor, z, cache["W"])
-                    cache["W"] = w_new
-                change += vdot(d, d).real
-                scale += vdot(w_new, w_new).real
-                send(phase, c, dst, "bcd_a", z[:, :k])
-                send(phase, c, dst, "bcd_b", z[:, k:])
-            n_sweeps += 1
-            if eq.bcd_tol_reached(change, scale, tol):
-                break
-    else:
-        for t in range(sweeps):
-            phase = f"iteration[{t}]"
-            for c in range(1, fabric.C + 1):
-                with fabric.local(c) as du:
-                    du.cache["W"], a, b = eq.bcd_sweep_step(factors[c], a, b,
-                                                            du.cache["W"])
-                fabric.send(phase, c, fabric.next_du(c), "bcd_a", a)
-                fabric.send(phase, c, fabric.next_du(c), "bcd_b", b)
-            n_sweeps += 1
+    def pass_on(t: int, i: int, z: np.ndarray) -> None:
+        # views of a Z that each step rebinds, never writes in place, so
+        # the payloads stay valid in a recorded log
+        src, dst = hops[i]
+        phase = f"iteration[{t}]"
+        send(phase, src, dst, "bcd_a", z[:, :k])
+        send(phase, src, dst, "bcd_b", z[:, k:])
 
-    blocks = tuple(fabric.du(c).cache["W"] for c in range(1, fabric.C + 1))
-    w = np.hstack(blocks)
-    result = eq.EqualizerResult(W=w, blocks=blocks,
+    wb = [fabric.du(c).cache["W"] for c in ring]
+    n_sweeps = eq.bcd_iterate(factors, wb, z, sweeps, tol, max_sweeps,
+                              scopes=[fabric.local(c) for c in ring], after=pass_on)
+    for c, w in zip(ring, wb):
+        fabric.du(c).cache["W"] = w
+
+    result = eq.EqualizerResult(W=np.hstack(wb), blocks=tuple(wb),
                                 algorithm="bcd-lrd" if use_lrd else "bcd",
                                 iterations=n_sweeps)
     shat = accumulate_symbols(fabric)
@@ -526,11 +489,20 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: int = 4,
 # Centralized raw shipping (bandwidth reference)
 # ---------------------------------------------------------------------------
 
-def run_centralized(fabric: Fabric, es: float):
+def _lmmse(h: np.ndarray, noise: np.ndarray, es: float) -> eq.EqualizerResult:
+    return eq.lmmse_centralized(h, sample_covariance(noise), es)
+
+
+def _zf(h: np.ndarray, noise: np.ndarray, es: float) -> eq.EqualizerResult:
+    return eq.zf_centralized(h)
+
+
+def run_centralized(fabric: Fabric, es: float, central: Callable = _lmmse):
     """Ship raw H_c, noise_c, y_c to the CU and equalize centrally.
 
-    Exists for the bandwidth ledger: total transfer is 2M(n_coh + K + N)
-    over a coherence block.
+    ``central(H, noise, es)`` is the equalizer the CU runs (LMMSE by
+    default). Exists for the bandwidth ledger: total transfer is
+    2M(n_coh + K + N) over a coherence block.
     """
     hs, ns, ys = [], [], []
     for c in range(1, fabric.C + 1):
@@ -539,12 +511,8 @@ def run_centralized(fabric: Fabric, es: float):
         hs.append(fabric.send("preprocessing", c, CU, "raw_channel", h_c).payload)
         ns.append(fabric.send("preprocessing", c, CU, "raw_samples", n_c).payload)
         ys.append(fabric.send("symbol_estimation", c, CU, "raw_signal", y_c).payload)
-    h = np.vstack(hs)
-    noise = np.vstack(ns)
-    y = np.vstack(ys)
-    rhat = sample_covariance(noise)
-    res = eq.lmmse_centralized(h, rhat, es)
-    return res, res.W @ y
+    res = central(np.vstack(hs), np.vstack(ns), es)
+    return res, res.W @ np.vstack(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +526,11 @@ def formula_centralized(m: int, k: int, n: int, n_coh: int) -> Fraction:
 def formula_dr(c: int, k: int, n: int, n_coh: int) -> Fraction:
     """Shared by the superimposed and concatenated DR equalizers."""
     return Fraction(2 * c * k * (n_coh + k + n), n_coh)
+
+
+def formula_bdac(c: int, k: int, n_coh: int) -> Fraction:
+    """K x K Gram partial and total per DU, then the K x n_coh symbol partials."""
+    return Fraction(4 * c * k * k, n_coh) + 2 * c * k
 
 
 def formula_bcd(c: int, k: int, n: int, t: int, n_coh: int) -> Fraction:
@@ -605,3 +578,60 @@ def formula_bcd_lrd_aggregate(c: int, m: int, k: int, n: int, t: int, r: int,
             + Fraction(c * (4 * k * k + 2 * k * r), n_coh)
             + Fraction(2 * t * c * k * (r + k), n_coh)
             + 2 * c * k)
+
+
+# ---------------------------------------------------------------------------
+# The algorithm table
+# ---------------------------------------------------------------------------
+
+class Algorithm(NamedTuple):
+    """Where one equalizer runs, how, and what it costs on the fabric.
+
+    ``run(fabric, es, spec)`` runs the protocol on a ``topology`` fabric
+    and returns the symbol estimates; ``spec`` is a
+    :class:`dbpeq.bench.AlgoSpec`, of whose ``T``, ``tol`` and ``r`` the
+    algorithm reads the ones named in ``params``. ``entries(cfg, spec)``
+    is the exact per-symbol ledger of a fixed-schedule run. A
+    centralized equalizer only ships raw data to the CU; its
+    ``central(H, noise, es)`` equalizes without simulating the fabric.
+    """
+
+    topology: str
+    run: Callable
+    entries: Callable
+    params: tuple[str, ...] = ()
+    central: Optional[Callable] = None
+
+
+def _bcd_symbols(fabric: Fabric, es: float, spec, use_lrd: bool = False) -> np.ndarray:
+    return run_bcd_daisy(fabric, es, sweeps=spec.T, tol=spec.tol, use_lrd=use_lrd,
+                         r=spec.r, max_sweeps=10000)[1]
+
+
+# Rows call the protocols and formulas by their module-level names, never
+# through function objects bound here, so a replaced name is honored.
+ALGORITHMS: dict[str, Algorithm] = {
+    "zf": Algorithm(
+        "star", lambda f, es, a: run_centralized(f, es, _zf)[1],
+        lambda cfg, a: formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh), central=_zf),
+    "lmmse": Algorithm(
+        "star", lambda f, es, a: run_centralized(f, es, _lmmse)[1],
+        lambda cfg, a: formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh), central=_lmmse),
+    "bdac": Algorithm(
+        "star", lambda f, es, a: run_bdac(f, es)[1],
+        lambda cfg, a: formula_bdac(cfg.C, cfg.K, cfg.n_coh)),
+    "sdr": Algorithm(
+        "star", lambda f, es, a: run_sdr_star(f, es)[1],
+        lambda cfg, a: formula_dr(cfg.C, cfg.K, cfg.N, cfg.n_coh)),
+    "cdr": Algorithm(
+        "star", lambda f, es, a: run_cdr_star(f, es)[1],
+        lambda cfg, a: formula_dr(cfg.C, cfg.K, cfg.N, cfg.n_coh)),
+    "bcd": Algorithm(
+        "daisy", _bcd_symbols,
+        lambda cfg, a: formula_bcd(cfg.C, cfg.K, cfg.N, a.T, cfg.n_coh), ("T", "tol")),
+    "bcd-lrd": Algorithm(
+        "daisy", lambda f, es, a: _bcd_symbols(f, es, a, use_lrd=True),
+        lambda cfg, a: formula_bcd_lrd_ledger(balanced_partition(cfg.M, cfg.C).sizes,
+                                              cfg.K, cfg.N, a.T, a.r, cfg.n_coh),
+        ("T", "tol", "r")),
+}

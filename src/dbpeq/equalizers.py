@@ -111,15 +111,15 @@ def bdac_mmse(h_blocks: Sequence[np.ndarray], r_blocks: Sequence[np.ndarray],
 
 
 def _compress_blocks(h_blocks, y_blocks, noise_blocks):
-    """Per-cluster (Q_c H_c, Q_c y_c, Q_c n_c) from locally estimated R_cc."""
-    qh, qy, qn = [], [], []
+    """Per-cluster (Q_c H_c, Q_c n_c, Q_c y_c) from locally estimated R_cc."""
+    qh, qn, qy = [], [], []
     for hc, yc, nc in zip(h_blocks, y_blocks, noise_blocks):
         rcc = sample_covariance(nc)
         q = local_compression(hc, rcc)
         qh.append(q @ hc)
-        qy.append(q @ yc)
         qn.append(q @ nc)
-    return qh, qy, qn
+        qy.append(q @ yc)
+    return qh, qn, qy
 
 
 def _compressed_lmmse(h_eff, r_eff, y_eff, es, tag):
@@ -130,19 +130,30 @@ def _compressed_lmmse(h_eff, r_eff, y_eff, es, tag):
     return _result(w, tag), w @ y_eff
 
 
+def dr_combine(qh, qn, qy, es: float, concatenate: bool):
+    """Last step of sdr (sum) and cdr (``concatenate``: vstack), library and protocol.
+
+    Joins the compressed per-cluster data and runs LMMSE on it. The
+    joined covariance has rank at most N, so N below its dimension (K
+    for sdr, C*K for cdr) raises NotPositiveDefinite.
+    """
+    join, tag = (np.vstack, "cdr") if concatenate else (sum, "sdr")
+    n_eff = join(qn)
+    if n_eff.shape[1] < n_eff.shape[0]:
+        raise NotPositiveDefinite(
+            f"{tag} sample covariance has rank at most "
+            f"{n_eff.shape[1]} < dimension {n_eff.shape[0]} (N too small)")
+    return _compressed_lmmse(join(qh), sample_covariance(n_eff), join(qy), es, tag)
+
+
 def sdr_mmse(h_blocks, y_blocks, noise_blocks, es: float):
     """Superimposed dimensionality-reduction equalizer (star topology).
 
     Returns the K x K equalizer in compressed space and the symbol
-    estimates. Raises NotPositiveDefinite if the superimposed sample
-    covariance is singular (N < K).
+    estimates; see :func:`dr_combine` for the N < K guard.
     """
-    qh, qy, qn = _compress_blocks(h_blocks, y_blocks, noise_blocks)
-    h_eff = sum(qh)
-    y_eff = sum(qy)
-    n_eff = sum(qn)
-    r_eff = sample_covariance(n_eff)
-    return _compressed_lmmse(h_eff, r_eff, y_eff, es, "sdr")
+    return dr_combine(*_compress_blocks(h_blocks, y_blocks, noise_blocks), es,
+                      concatenate=False)
 
 
 def cdr_mmse(h_blocks, y_blocks, noise_blocks, es: float):
@@ -151,16 +162,8 @@ def cdr_mmse(h_blocks, y_blocks, noise_blocks, es: float):
     The CK x CK compressed sample covariance is rank-deficient whenever
     N < C*K; that surfaces as NotPositiveDefinite.
     """
-    qh, qy, qn = _compress_blocks(h_blocks, y_blocks, noise_blocks)
-    h_eff = np.vstack(qh)
-    y_eff = np.vstack(qy)
-    n_eff = np.vstack(qn)
-    if n_eff.shape[1] < n_eff.shape[0]:
-        raise NotPositiveDefinite(
-            f"concatenated sample covariance has rank at most "
-            f"{n_eff.shape[1]} < dimension {n_eff.shape[0]} (N < C*K)")
-    r_eff = sample_covariance(n_eff)
-    return _compressed_lmmse(h_eff, r_eff, y_eff, es, "cdr")
+    return dr_combine(*_compress_blocks(h_blocks, y_blocks, noise_blocks), es,
+                      concatenate=True)
 
 
 def compressed_estimate(h: np.ndarray, rhat: np.ndarray, q: np.ndarray,
@@ -273,23 +276,23 @@ class BcdBlockFactor:
             self.p_top = self.p[:h_c.shape[1]]
 
 
-def bcd_sweep_step(block: BcdBlockFactor, a: np.ndarray, b: np.ndarray,
-                   w_c_prev: np.ndarray
+def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Gauss-Seidel block update plus the (A, B) accumulator refresh.
+    """Fixed-sweep Gauss-Seidel block update on Z = [A | B].
 
-    Returns (W_c new, A new, B new). The fixed-sweep kernel: both the
-    in-library solver and the simulated daisy-chain protocol run exactly
-    this sequence for a given sweep count, so their results agree bit
-    for bit.
+    A = sum_j W_j H_j and B = sum_j W_j S_j. Returns (W_c new, Z new, D),
+    D the block change, like :func:`bcd_newton_step`; Z is a new array,
+    never the input updated in place.
     """
     h_c, samples_c = block.h, block.s
-    a_others = a - w_c_prev @ h_c
-    b_others = b - w_c_prev @ samples_c
+    k = h_c.shape[1]
+    a_others = z[:, :k] - w_c_prev @ h_c
+    b_others = z[:, k:] - w_c_prev @ samples_c
     num = block.hh_es - a_others @ block.hh_es - b_others @ block.sh
     w_new, _ = _zpotrs(block.chol, num.conj().T, lower=block.lower)
     w_new = w_new.conj().T
-    return w_new, a_others + w_new @ h_c, b_others + w_new @ samples_c
+    z_new = np.hstack([a_others + w_new @ h_c, b_others + w_new @ samples_c])
+    return w_new, z_new, w_new - w_c_prev
 
 
 def bcd_newton_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray
@@ -310,9 +313,52 @@ def bcd_newton_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray
     return w_c + d, z + d.dot(block.x), d
 
 
-def bcd_tol_reached(change: float, scale: float, tol: float) -> bool:
-    """Sweep stopping rule: ||dW||_F^2 <= tol^2 * ||W||_F^2."""
-    return change <= (tol ** 2) * max(scale, 1e-300)
+def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
+                sweeps: Optional[int] = None, tol: Optional[float] = None,
+                max_sweeps: int = 200, scopes=None, after=None) -> int:
+    """The one BCD sweep loop, shared by the library and the daisy protocol.
+
+    With ``tol`` it runs converge mode: :func:`bcd_newton_step` (the
+    ``factors`` built with ``newton=True``) until ||dW||_F^2 <=
+    tol^2 ||W||_F^2 over a sweep, or for ``max_sweeps`` sweeps.
+    Otherwise it runs ``sweeps`` sweeps (4 if not given) of
+    :func:`bcd_sweep_step`. Giving both, ``sweeps < 0``, ``tol <= 0`` or
+    ``max_sweeps < 1`` raises ValueError.
+
+    ``wb`` holds the W blocks and is updated in place; ``z`` is the
+    starting [A | B]. Block i steps inside ``scopes[i]`` if given, then
+    ``after(t, i, z)`` sees the state after that step of sweep t.
+    Returns the number of sweeps run.
+    """
+    if sweeps is not None and tol is not None:
+        raise ValueError("give sweeps or tol, not both")
+    if ((sweeps is not None and sweeps < 0) or (tol is not None and not tol > 0)
+            or max_sweeps < 1):
+        raise ValueError(f"need sweeps >= 0, tol > 0, max_sweeps >= 1; got "
+                         f"{sweeps}, {tol}, {max_sweeps}")
+    converge = tol is not None
+    limit = max_sweeps if converge else 4 if sweeps is None else sweeps
+    # looked up per call, so a replaced module attribute is honored
+    step = bcd_newton_step if converge else bcd_sweep_step
+    vdot = np.vdot
+    for t in range(limit):
+        change = 0.0
+        scale = 0.0
+        for i, factor in enumerate(factors):
+            if scopes is None:
+                w, z, d = step(factor, z, wb[i])
+            else:
+                with scopes[i]:
+                    w, z, d = step(factor, z, wb[i])
+            wb[i] = w
+            if after is not None:
+                after(t, i, z)
+            if converge:
+                change += vdot(d, d).real
+                scale += vdot(w, w).real
+        if converge and change <= (tol ** 2) * max(scale, 1e-300):
+            return t + 1
+    return limit
 
 
 def bcd_block_update_raw(h_c: np.ndarray, noise_c: np.ndarray, a_prev: np.ndarray,
@@ -354,21 +400,15 @@ def bcd_solve(h_blocks, noise_blocks, es: float, sweeps: Optional[int] = None,
               sample_blocks=None, max_sweeps: int = 200) -> EqualizerResult:
     """Gauss-Seidel BCD over the per-cluster blocks of W.
 
-    Stops after ``sweeps`` full sweeps, or when the relative block change
-    drops below ``tol`` (whichever is given; ``sweeps`` wins if both).
-    ``sample_blocks`` substitutes the scaled pilot matrices (e.g. the
-    low-rank G_c) in every sample term.
-
-    A fixed-sweep run uses :func:`bcd_sweep_step`. Converge mode (``tol``
-    without ``sweeps``) runs the algebraically identical block-Newton
-    form :func:`bcd_newton_step` for at most ``max_sweeps`` sweeps; its
-    result is promised to ``tol``, not to the bits of a fixed-sweep run
-    with the same sweep count. From the BDAC start, either mode is
-    bit-identical to :func:`dbpeq.dbpnet.run_bcd_daisy` run in the same
-    mode.
+    Runs :func:`bcd_iterate` and follows its rule: ``tol`` converges
+    for at most ``max_sweeps`` sweeps, else ``sweeps`` sweeps run (4 if
+    neither is given); giving both raises ValueError. A converge-mode
+    result is promised to ``tol``, not to the bits of a fixed-sweep run.
+    From the BDAC start, either mode is bit-identical to
+    :func:`dbpeq.dbpnet.run_bcd_daisy`. ``sample_blocks`` substitutes
+    the scaled pilot matrices (e.g. the low-rank G_c) in every sample
+    term.
     """
-    if sweeps is None and tol is None:
-        sweeps = 4
     sizes = [hc.shape[0] for hc in h_blocks]
     k = h_blocks[0].shape[1]
     if sample_blocks is None:
@@ -382,30 +422,10 @@ def bcd_solve(h_blocks, noise_blocks, es: float, sweeps: Optional[int] = None,
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    converge = sweeps is None
-    factors = [BcdBlockFactor(hc, sc, es, newton=converge)
+    factors = [BcdBlockFactor(hc, sc, es, newton=tol is not None)
                for hc, sc in zip(h_blocks, sample_blocks)]
-    c = len(h_blocks)
-    n_sweeps = 0
-    if converge:
-        z = np.hstack([a, b])
-        for _ in range(max_sweeps):
-            change = 0.0
-            scale = 0.0
-            for i in range(c):
-                wb[i], z, d = bcd_newton_step(factors[i], z, wb[i])
-                change += np.vdot(d, d).real
-                scale += np.vdot(wb[i], wb[i]).real
-            n_sweeps += 1
-            if bcd_tol_reached(change, scale, tol):
-                break
-    else:
-        for _ in range(sweeps):
-            for i in range(c):
-                wb[i], a, b = bcd_sweep_step(factors[i], a, b, wb[i])
-            n_sweeps += 1
-    w = np.hstack(wb)
-    return EqualizerResult(W=w, blocks=tuple(wb), algorithm="bcd", iterations=n_sweeps)
+    n_sweeps = bcd_iterate(factors, wb, np.hstack([a, b]), sweeps, tol, max_sweeps)
+    return _result(np.hstack(wb), "bcd", sizes, n_sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +440,32 @@ def lrd_auto_rank(singular_values: np.ndarray, tau: float = 0.05) -> int:
     return max(1, int(np.sum(s > tau * s[0])))
 
 
+def lrd_stage(d_prev: Optional[np.ndarray], v_prev: Optional[np.ndarray],
+              s_c: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """One stage of the sequential decomposition: returns (D_c, V_c).
+
+    Stacks the running reconstruction D V^H (none at the first stage) on
+    top of this cluster's rows and keeps the dominant triplets. Early
+    clusters may have fewer than r rows; the decomposition carries at
+    most min(rows, N) triplets until enough rows accumulate.
+    """
+    stack = s_c if d_prev is None else np.vstack([d_prev @ v_prev.conj().T, s_c])
+    dec = truncated_svd(stack, min(r, *stack.shape))
+    return dec.U * dec.S, dec.V
+
+
 def lrd_sequential(sample_blocks: Sequence[np.ndarray], r: int
                    ) -> tuple[list[np.ndarray], np.ndarray]:
     """Daisy-chain rank-r decomposition of the stacked sample matrix.
 
-    Each stage stacks the running low-rank reconstruction on top of its
-    own rows and truncated-SVDs the result; the final right factor V is
-    broadcast so every cluster can form G_c = S_c @ V. Returns the list
-    of G_c (M_c x r) and V (N x r).
+    Runs :func:`lrd_stage` cluster by cluster; the final right factor V
+    is broadcast so every cluster can form G_c = S_c @ V. Returns the
+    list of G_c (M_c x r) and V (N x r).
     """
     n = sample_blocks[0].shape[1]
     if not 1 <= r <= min(sum(b.shape[0] for b in sample_blocks), n):
         raise RankOutOfRange(f"rank {r} out of range")
-    d_prev = None
-    v_prev = None
+    d = v = None
     for s_c in sample_blocks:
-        if d_prev is None:
-            stack = s_c
-        else:
-            stack = np.vstack([d_prev @ v_prev.conj().T, s_c])
-        # Early clusters may have fewer than r rows; the decomposition
-        # can carry at most min(rows, N) triplets until enough rows
-        # accumulate.
-        dec = truncated_svd(stack, min(r, *stack.shape))
-        d_prev = dec.U * dec.S
-        v_prev = dec.V
-    v_final = v_prev
-    g_blocks = [s_c @ v_final for s_c in sample_blocks]
-    return g_blocks, v_final
+        d, v = lrd_stage(d, v, s_c, r)
+    return [s_c @ v for s_c in sample_blocks], v

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dbpnet, equalizers as eq
+from .bench import default_algo
 from .scenario import SystemConfig, gen_realization, gen_symbol_block, sample_covariance
 
 
@@ -54,18 +55,13 @@ def check_bcd_descent() -> CheckResult:
         hb, nb = rz.H_blocks(), rz.noise_blocks()
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
-        h = rz.H
-        prev = eq.objective_sample(np.hstack(wb), h, rz.noise, cfg.Es)
-        for _ in range(4):
-            for c in range(len(hb)):
-                w_new = eq.bcd_block_update(hb[c], sb[c], a, b, wb[c], cfg.Es)
-                a = a + (w_new - wb[c]) @ hb[c]
-                b = b + (w_new - wb[c]) @ sb[c]
-                wb[c] = w_new
-                obj = eq.objective_sample(np.hstack(wb), h, rz.noise, cfg.Es)
-                if obj > prev + 1e-12:
-                    violations += 1
-                prev = obj
+        factors = [eq.BcdBlockFactor(h, s, cfg.Es) for h, s in zip(hb, sb)]
+        objs = [eq.objective_sample(np.hstack(wb), rz.H, rz.noise, cfg.Es)]
+        # the objective after every block step of 4 sweeps
+        eq.bcd_iterate(factors, wb, np.hstack([a, b]), sweeps=4,
+                       after=lambda t, i, z: objs.append(eq.objective_sample(
+                           np.hstack(wb), rz.H, rz.noise, cfg.Es)))
+        violations += sum(o1 > o0 + 1e-12 for o0, o1 in zip(objs, objs[1:]))
     return CheckResult("bcd-descent", violations == 0,
                        f"{violations} objective increases across block updates")
 
@@ -185,40 +181,17 @@ def check_ledger_formulas(tamper: bool = False) -> CheckResult:
         cfg = _desk_cfg(M=g["M"], K=g["K"], C=g["C"], N=g["N"], n_coh=g["n_coh"])
         rz = gen_realization(cfg, 0)
         block = gen_symbol_block(cfg, rz, 0)
-        for name in ("sdr", "cdr"):
-            fab = dbpnet.make_fabric(rz, block.Y, "star", n_coh=cfg.n_coh)
-            (dbpnet.run_sdr_star if name == "sdr" else dbpnet.run_cdr_star)(fab, cfg.Es)
+        for name, row in dbpnet.ALGORITHMS.items():
+            algo = default_algo(name, cfg, T=g["T"], r=g["r"])
+            fab = dbpnet.make_fabric(rz, block.Y, row.topology, n_coh=cfg.n_coh)
+            row.run(fab, cfg.Es, algo)
             got = fab.ledger.per_symbol_average()
-            want = dbpnet.formula_dr(cfg.C, cfg.K, cfg.N, cfg.n_coh)
+            want = row.entries(cfg, algo)
             if tamper:
                 got += 1
             if got != want:
                 return CheckResult("ledger-formulas", False,
                                    f"{name} ledger {got} != formula {want} at {g}")
-        fab = dbpnet.make_fabric(rz, block.Y, "daisy", n_coh=cfg.n_coh)
-        dbpnet.run_bcd_daisy(fab, cfg.Es, sweeps=g["T"])
-        got = fab.ledger.per_symbol_average()
-        want = dbpnet.formula_bcd(cfg.C, cfg.K, cfg.N, g["T"], cfg.n_coh)
-        if tamper:
-            got += 1
-        if got != want:
-            return CheckResult("ledger-formulas", False,
-                               f"bcd ledger {got} != formula {want} at {g}")
-        fab = dbpnet.make_fabric(rz, block.Y, "star", n_coh=cfg.n_coh)
-        dbpnet.run_centralized(fab, cfg.Es)
-        got = fab.ledger.per_symbol_average()
-        want = dbpnet.formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh)
-        if got != want:
-            return CheckResult("ledger-formulas", False,
-                               f"centralized ledger {got} != formula {want} at {g}")
-        fab = dbpnet.make_fabric(rz, block.Y, "daisy", n_coh=cfg.n_coh)
-        dbpnet.run_bcd_daisy(fab, cfg.Es, sweeps=g["T"], use_lrd=True, r=g["r"])
-        got = fab.ledger.per_symbol_average()
-        want = dbpnet.formula_bcd_lrd_ledger(rz.partition.sizes, cfg.K, cfg.N,
-                                             g["T"], g["r"], cfg.n_coh)
-        if got != want:
-            return CheckResult("ledger-formulas", False,
-                               f"bcd-lrd ledger {got} != reconciled formula {want} at {g}")
     return CheckResult("ledger-formulas", True,
                        "all simulated ledgers equal closed forms (exact rationals)")
 

@@ -67,12 +67,13 @@ class TestBlockUpdate:
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
         blk = eq.BcdBlockFactor(hb[0], sb[0], 1.0)
-        w_fast, a2, b2 = eq.bcd_sweep_step(blk, a, b, wb[0])
+        w_fast, z, d = eq.bcd_sweep_step(blk, np.hstack([a, b]), wb[0])
         w_ref = eq.bcd_block_update(hb[0], sb[0], a, b, wb[0], 1.0)
         np.testing.assert_allclose(w_fast, w_ref, atol=1e-12)
-        np.testing.assert_allclose(a2, a - wb[0] @ hb[0] + w_fast @ hb[0],
+        np.testing.assert_array_equal(d, w_fast - wb[0])
+        np.testing.assert_allclose(z[:, :4], a - wb[0] @ hb[0] + w_fast @ hb[0],
                                    atol=1e-12)
-        np.testing.assert_allclose(b2, b - wb[0] @ sb[0] + w_fast @ sb[0],
+        np.testing.assert_allclose(z[:, 4:], b - wb[0] @ sb[0] + w_fast @ sb[0],
                                    atol=1e-12)
 
     def test_newton_step_matches_block_update(self):

@@ -7,7 +7,7 @@ import pytest
 
 from dbpeq import bench
 from dbpeq.bench import AlgoSpec, InsufficientErrors, RunSpec, SerReport
-from dbpeq.scenario import SystemConfig
+from dbpeq.scenario import ConfigError, SystemConfig
 
 
 def _cfg(**kw):
@@ -37,6 +37,14 @@ class TestSpecs:
     def test_algospec_rejects_unknown(self):
         with pytest.raises(ValueError):
             AlgoSpec("mrc")
+
+    @pytest.mark.parametrize("kw", [
+        dict(T=-1), dict(tol=0.0), dict(tol=-1.0), dict(r=0),
+        dict(T=2, tol=1e-3),
+    ])
+    def test_algospec_rejects_bad_bcd_settings(self, kw):
+        with pytest.raises(ConfigError):
+            AlgoSpec("bcd-lrd", **kw)
 
     def test_runspec_validation(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,12 @@ class TestRun:
         assert _run(["run", *BASE, "--algorithms", "mrc",
                      "--out", str(tmp_path / "r.csv")]) == 2
 
+    def test_negative_sweep_count_exit_2(self, tmp_path, capsys):
+        assert _run(["run", *BASE, "--algorithms", "bcd,bcd-lrd", "--T", "-1",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_invalid_dimensions_exit_2(self, tmp_path):
         assert _run(["run", "--M", "4", "--K", "8",
                      "--out", str(tmp_path / "r.csv")]) == 2
@@ -169,3 +175,22 @@ class TestBandwidth:
 
     def test_bad_params_exit_2(self):
         assert _run(["bandwidth", "--M", "4", "--K", "8"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--T", "-1"], ["--r", "0"]])
+    def test_bad_sweep_count_or_rank_exit_2(self, capsys, flags):
+        assert _run(["bandwidth", *flags]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    # the ridge fallback warns on the one-antenna clusters of C = M
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flags,failing", [
+        (["--r", "1000"], "bcd-lrd"),
+        (["--C", "32", "--M", "32"], "cdr"),
+    ])
+    def test_numeric_failure_is_a_fail_row(self, capsys, flags, failing):
+        assert _run(["bandwidth", *flags]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [ln for ln in lines if "FAIL" in ln]
+        assert len(fails) == 1 and fails[0].split()[0] == failing
+        assert "RankOutOfRange" in fails[0] or "NotPositiveDefinite" in fails[0]
+        assert sum(ln.endswith("yes") for ln in lines) == 6

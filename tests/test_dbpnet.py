@@ -1,11 +1,13 @@
 """Fabric simulation: topology rules, locality, ledger-formula equality."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dbpeq import dbpnet, equalizers as eq
+from dbpeq import bench, dbpnet, equalizers as eq
 from dbpeq.dbpnet import CU, OUT, LocalityError, TopologyError
 from dbpeq.scenario import (
     SystemConfig,
@@ -109,9 +111,9 @@ class TestLocality:
                 _ = fab.du(2).H
         assert fab.active is None
 
-    def test_tol_loop_steps_run_in_their_du_scope(self, monkeypatch):
-        fab, _, _ = _fabric(_cfg(), kind="daisy")
-        step = eq.bcd_newton_step
+    @staticmethod
+    def _snoop(monkeypatch, fab, name):
+        step = getattr(eq, name)
 
         def snooping_step(factor, z, w_c):
             own = fab.active
@@ -120,9 +122,32 @@ class TestLocality:
             _ = fab.du(own % fab.C + 1).H
             return step(factor, z, w_c)
 
-        monkeypatch.setattr(eq, "bcd_newton_step", snooping_step)
+        monkeypatch.setattr(eq, name, snooping_step)
+
+    def test_tol_loop_steps_run_in_their_du_scope(self, monkeypatch):
+        fab, _, _ = _fabric(_cfg(), kind="daisy")
+        self._snoop(monkeypatch, fab, "bcd_newton_step")
         with pytest.raises(LocalityError):
             dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-8)
+
+    def test_fixed_sweep_steps_run_in_their_du_scope(self, monkeypatch):
+        fab, _, _ = _fabric(_cfg(), kind="daisy")
+        self._snoop(monkeypatch, fab, "bcd_sweep_step")
+        with pytest.raises(LocalityError):
+            dbpnet.run_bcd_daisy(fab, 1.0, sweeps=2)
+
+    def test_fabric_freed_without_cycle_collector(self):
+        # DUs share the fabric's scope cell, not the fabric, so dropping
+        # the last reference frees the fabric, its DU caches and ledger
+        gc.disable()
+        try:
+            fab, _, _ = _fabric(_cfg(), kind="daisy")
+            dbpnet.run_bcd_daisy(fab, 1.0, sweeps=2)
+            ref = weakref.ref(fab)
+            del fab
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_samples_are_scaled_noise(self):
         fab, rz, _ = _fabric(_cfg())
@@ -204,11 +229,10 @@ class TestProtocolEquivalence:
     def test_bdac(self, kind):
         cfg = _cfg()
         fab, rz, blk = _fabric(cfg, kind=kind)
-        res_p = dbpnet.run_bdac(fab, 1.0)
+        res_p, shat = dbpnet.run_bdac(fab, 1.0)
         r_blocks = [sample_covariance(nc) for nc in rz.noise_blocks()]
         res_l = eq.bdac_mmse(rz.H_blocks(), r_blocks, 1.0)
         np.testing.assert_array_equal(res_p.W, res_l.W)
-        shat = dbpnet.accumulate_symbols(fab)
         np.testing.assert_allclose(shat, res_l.W @ blk.Y, atol=1e-12)
 
     @pytest.mark.parametrize("sweeps,tol", [
@@ -251,12 +275,36 @@ class TestProtocolEquivalence:
         np.testing.assert_allclose(res.W, w_ref, atol=1e-12)
         np.testing.assert_allclose(shat, w_ref @ blk.Y, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["lmmse", "zf"])
+    def test_centralized_row_matches_its_protocol(self, name):
+        # sweeps equalize centralized rows in place; the protocol ships raw data
+        fab, rz, blk = _fabric(_cfg())
+        row = dbpnet.ALGORITHMS[name]
+        shat_p = row.run(fab, 1.0, bench.AlgoSpec(name))
+        shat_l = row.central(rz.H, rz.noise, 1.0).W @ blk.Y
+        np.testing.assert_array_equal(shat_p, shat_l)
+
     def test_lrd_rank_guard(self):
         cfg = _cfg(M=16, C=4, N=48)
         fab, _, _ = _fabric(cfg, kind="daisy")
         from dbpeq.numerics import RankOutOfRange
         with pytest.raises(RankOutOfRange):
             dbpnet.run_lrd_daisy(fab, 17)
+
+    @pytest.mark.parametrize("mode", [
+        dict(sweeps=2, tol=1e-3),
+        dict(sweeps=-1),
+        dict(tol=-1.0),
+        dict(tol=0.0),
+        dict(tol=1e-3, max_sweeps=0),
+    ])
+    def test_bcd_rejects_bad_sweep_settings(self, mode):
+        # one rule in both forms: tol converges, sweeps counts, never both
+        fab, rz, _ = _fabric(_cfg(), kind="daisy")
+        with pytest.raises(ValueError):
+            eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), 1.0, **mode)
+        with pytest.raises(ValueError):
+            dbpnet.run_bcd_daisy(fab, 1.0, **mode)
 
     def test_bcd_requires_daisy(self):
         fab, _, _ = _fabric(_cfg(), kind="star")
@@ -294,6 +342,27 @@ class TestLedgerFormulas:
         run(fab, 1.0)
         assert fab.ledger.per_symbol_average() == \
             dbpnet.formula_dr(c, k, n, ncoh)
+
+    @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
+    @pytest.mark.parametrize("kind", ["star", "daisy"])
+    def test_bdac(self, kind, m, k, c, n, ncoh, t, r):
+        cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
+        fab, _, _ = _fabric(cfg, kind=kind)
+        dbpnet.run_bdac(fab, 1.0)
+        assert fab.ledger.per_symbol_average() == dbpnet.formula_bdac(c, k, ncoh)
+
+    # the LRD rows need the ridge fallback, as in test_bcd_lrd below
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
+    @pytest.mark.parametrize("name", list(dbpnet.ALGORITHMS))
+    def test_table_row(self, name, m, k, c, n, ncoh, t, r):
+        # each row's protocol runs on its fabric with its formula's ledger
+        cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
+        row = dbpnet.ALGORITHMS[name]
+        algo = bench.default_algo(name, cfg, T=t, r=r)
+        fab, _, _ = _fabric(cfg, kind=row.topology)
+        row.run(fab, 1.0, algo)
+        assert fab.ledger.per_symbol_average() == row.entries(cfg, algo)
 
     @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
     def test_bcd(self, m, k, c, n, ncoh, t, r):
