@@ -96,17 +96,6 @@ def default_algo(name: str, cfg: SystemConfig, T: int = 4, r: Optional[int] = No
                     r=(cfg.n_interf if r is None else r) if "r" in takes else None)
 
 
-def _run_algorithm(algo: AlgoSpec, cfg: SystemConfig, realization, block):
-    """One algorithm on one realization; returns (shat, per-symbol bandwidth)."""
-    row = dbpnet.ALGORITHMS[algo.name]
-    if row.central is not None:
-        res = row.central(realization.H, realization.noise, cfg.Es)
-        return res.W @ block.Y, row.entries(cfg, algo)
-    fabric = dbpnet.make_fabric(realization, block.Y, row.topology, n_coh=cfg.n_coh)
-    shat = row.run(fabric, cfg.Es, algo)
-    return shat, fabric.ledger.per_symbol_average()
-
-
 def _run_trial(spec: RunSpec, trial: int) -> dict:
     """All (snr, algorithm) cells for one trial. Pure in (spec, trial)."""
     out = {}
@@ -116,8 +105,10 @@ def _run_trial(spec: RunSpec, trial: int) -> dict:
         block = gen_symbol_block(cfg, realization, trial)
         for algo in spec.algorithms:
             t0 = time.perf_counter() if spec.timing else 0.0
+            row = dbpnet.ALGORITHMS[algo.name]
+            fabric = dbpnet.make_fabric(realization, block.Y, row.topology, n_coh=cfg.n_coh)
             try:
-                shat, bw = _run_algorithm(algo, cfg, realization, block)
+                shat = row.run(fabric, cfg.Es, algo)
             except NumericsError:
                 out[(algo.label, snr)] = {"fail": True}
                 continue
@@ -129,7 +120,7 @@ def _run_trial(spec: RunSpec, trial: int) -> dict:
                 "errors": errors,
                 "symbols": block.S.size,
                 "se_sum": float(np.sum(np.abs(shat - block.S) ** 2)),
-                "bandwidth": bw,
+                "bandwidth": fabric.ledger.per_symbol_average(),
                 "wallclock": elapsed,
             }
     return out
@@ -144,7 +135,10 @@ def _worker_count(spec: RunSpec) -> int:
     n = spec.workers
     cap = os.environ.get("DBP_EQ_THREADS")
     if cap:
-        n = min(n, max(1, int(cap)))
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError(f"DBP_EQ_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(n, spec.trials))
 
 

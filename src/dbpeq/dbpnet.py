@@ -27,8 +27,6 @@ from .scenario import Realization, balanced_partition, sample_covariance
 CU = -1          # central unit id (star topology)
 OUT = -2         # decoder / output link
 
-_ITERATION = "iteration["   # phase prefix of BCD sweep t: "iteration[t]"
-
 
 class LocalityError(RuntimeError):
     """A protocol driver read a DU's raw data outside its local scope."""
@@ -81,30 +79,22 @@ class Message:
 
 
 class BandwidthLedger:
-    """Per-phase and per-link counts of real entries moved over the fabric."""
+    """Per-phase counts of real entries moved over the fabric.
+
+    BCD sweep t is the phase ``iteration[t]``.
+    """
 
     def __init__(self, n_coh: int):
         self.n_coh = int(n_coh)
         self.phases: dict[str, int] = {"preprocessing": 0, "lrd": 0, "symbol_estimation": 0}
-        self.iterations: list[int] = []
-        self.per_link: dict[tuple[int, int], int] = {}
 
-    def record(self, phase: str, src: int, dst: int, count: int) -> None:
-        """Add ``count`` real entries sent from ``src`` to ``dst`` in ``phase``."""
-        if phase.startswith(_ITERATION):
-            t = int(phase[len(_ITERATION):-1])
-            iterations = self.iterations
-            while len(iterations) <= t:
-                iterations.append(0)
-            iterations[t] += count
-        else:
-            self.phases[phase] = self.phases.get(phase, 0) + count
-        link = (src, dst)
-        self.per_link[link] = self.per_link.get(link, 0) + count
+    def record(self, phase: str, count: int) -> None:
+        """Add ``count`` real entries sent in ``phase``."""
+        self.phases[phase] = self.phases.get(phase, 0) + count
 
     @property
     def total(self) -> int:
-        return sum(self.phases.values()) + sum(self.iterations)
+        return sum(self.phases.values())
 
     def per_symbol_average(self) -> Fraction:
         """Exact per-symbol average: total entries over the coherence block."""
@@ -120,8 +110,7 @@ class DuState:
     so a fabric is freed as soon as the last outside reference goes.
     """
 
-    def __init__(self, du_id: int, h: np.ndarray, noise: np.ndarray,
-                 y: Optional[np.ndarray] = None):
+    def __init__(self, du_id: int, h: np.ndarray, noise: np.ndarray, y: np.ndarray):
         self.id = du_id
         self._h = h
         self._noise = noise
@@ -161,8 +150,7 @@ class DuState:
 class Fabric:
     """A deterministic, single-threaded message-passing simulation."""
 
-    def __init__(self, topology: Topology, dus: Sequence[DuState],
-                 ledger: Optional[BandwidthLedger] = None, n_coh: int = 1,
+    def __init__(self, topology: Topology, dus: Sequence[DuState], n_coh: int = 1,
                  record_log: bool = False):
         if len(dus) != topology.C:
             raise TopologyError("DU count does not match topology")
@@ -172,7 +160,7 @@ class Fabric:
         self._scope: list[Optional[int]] = [None]
         for du in dus:
             du._scope = self._scope
-        self.ledger = ledger if ledger is not None else BandwidthLedger(n_coh)
+        self.ledger = BandwidthLedger(n_coh)
         self.log: list[Message] = []
         self.record_log = record_log
         # (src, dst) pairs that passed Topology.check_link
@@ -210,7 +198,7 @@ class Fabric:
         shape = arr.shape
         rows = shape[0] if shape else 1
         cols = shape[1] if len(shape) > 1 else 1
-        self.ledger.record(phase, src, dst, 2 * rows * cols)
+        self.ledger.record(phase, 2 * rows * cols)
         msg = Message(phase, src, dst, kind, rows, cols, arr)
         if self.record_log:
             self.log.append(msg)
@@ -239,17 +227,14 @@ class _LocalScope:
         self._cell[0] = self._prev
 
 
-def make_fabric(realization: Realization, y: Optional[np.ndarray], kind: str,
-                n_coh: Optional[int] = None, record_log: bool = False) -> Fabric:
+def make_fabric(realization: Realization, y: np.ndarray, kind: str, n_coh: int,
+                record_log: bool = False) -> Fabric:
     """Build a fabric whose DUs hold the per-cluster slices of a realization."""
     part = realization.partition
-    if n_coh is None:
-        n_coh = y.shape[1] if y is not None else 1
     dus = []
     for c in range(part.C):
         rows = part.rows(c)
-        dus.append(DuState(c + 1, realization.H[rows], realization.noise[rows],
-                           None if y is None else y[rows]))
+        dus.append(DuState(c + 1, realization.H[rows], realization.noise[rows], y[rows]))
     return Fabric(Topology(kind, part.C), dus, n_coh=n_coh, record_log=record_log)
 
 
@@ -265,28 +250,71 @@ def replay_totals(log_text: str) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
+# Reductions shared by the protocols
+# ---------------------------------------------------------------------------
+
+def _reduce(fabric: Fabric, phase: str, kind: str, parts: Sequence[np.ndarray],
+            last: int = OUT) -> np.ndarray:
+    """Sum the per-DU ``parts`` (DU 1 first) over the fabric; returns the sum.
+
+    On a star each DU sends its part to the CU. On a ring DU c forwards
+    the running sum to DU c+1, and DU C's hop goes to ``last``: the
+    output link for symbol estimates, the ring wrap for a Gram.
+    """
+    star = fabric.topology.kind == "star"
+    acc = None
+    for c, part in enumerate(parts, 1):
+        acc = part if acc is None else acc + part
+        dst = CU if star else (c + 1 if c < fabric.C else last)
+        fabric.send(phase, c, dst, kind, part if star else acc)
+    return acc
+
+
+def _gram(fabric: Fabric, es: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each DU caches Q_c; the Gram partials Q_c H_c are reduced.
+
+    Returns the summed Gram and Atot = Gram + I/Es.
+    """
+    parts = []
+    for c in range(1, fabric.C + 1):
+        with fabric.local(c) as du:
+            q = eq.local_compression(du.H, sample_covariance(du.noise))
+            du.cache["Q"] = q
+            parts.append(q @ du.H)
+    gram = hermitize(_reduce(fabric, "preprocessing", "gram_partial", parts, last=1))
+    return gram, gram + np.eye(gram.shape[0]) / es
+
+
+def accumulate_symbols(fabric: Fabric) -> np.ndarray:
+    """Ring/star accumulation of the per-cluster partial estimates W_c y_c.
+
+    On the ring the last hop is the delivery to the output (decoder)
+    link, so the phase counts exactly 2*C*K entries per symbol.
+    """
+    parts = []
+    for c in range(1, fabric.C + 1):
+        with fabric.local(c) as du:
+            parts.append(du.cache["W"] @ du.Y)
+    return _reduce(fabric, "symbol_estimation", "symbol_partial", parts)
+
+
+# ---------------------------------------------------------------------------
 # Star protocols
 # ---------------------------------------------------------------------------
 
-def _star_compress(fabric: Fabric, phase: str = "preprocessing"):
+def _star_compress(fabric: Fabric):
     """Each DU compresses locally and ships (Q_c H_c, {Q_c n_c^i}, Q_c y_c).
 
-    Returns the payloads as the lists (Q_c H_c), (Q_c n_c), (Q_c y_c).
+    Returns the payloads as the tuples (Q_c H_c), (Q_c n_c), (Q_c y_c).
     """
-    qh_msgs, qn_msgs, qy_msgs = [], [], []
+    sent = []
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
-            nc = du.noise
-            q = eq.local_compression(du.H, sample_covariance(nc))
-            du.cache["Q"] = q
-            qh = q @ du.H
-            qn = q @ nc
-            qy = q @ du.Y
-        qh_msgs.append(fabric.send(phase, c, CU, "compressed_channel", qh))
-        qn_msgs.append(fabric.send(phase, c, CU, "compressed_samples", qn))
-        qy_msgs.append(fabric.send("symbol_estimation", c, CU, "compressed_signal", qy))
-    return ([m.payload for m in qh_msgs], [m.payload for m in qn_msgs],
-            [m.payload for m in qy_msgs])
+            qh, qn, qy = eq.compress_cluster(du.H, du.Y, du.noise)
+        sent.append((fabric.send("preprocessing", c, CU, "compressed_channel", qh).payload,
+                     fabric.send("preprocessing", c, CU, "compressed_samples", qn).payload,
+                     fabric.send("symbol_estimation", c, CU, "compressed_signal", qy).payload))
+    return zip(*sent)
 
 
 def run_sdr_star(fabric: Fabric, es: float):
@@ -310,36 +338,12 @@ def run_bdac(fabric: Fabric, es: float) -> tuple[eq.EqualizerResult, np.ndarray]
     summed Gram flows back and each DU solves for its own W_c. Returns
     the result and the symbol estimates of :func:`accumulate_symbols`.
     """
-    k = None
-    partials = []
-    for c in range(1, fabric.C + 1):
-        with fabric.local(c) as du:
-            q = eq.local_compression(du.H, sample_covariance(du.noise))
-            du.cache["Q"] = q
-            gc = q @ du.H
-            k = gc.shape[0]
-        partials.append(gc)
-
-    if fabric.topology.kind == "star":
-        acc = np.zeros((k, k), dtype=np.complex128)
-        for c in range(1, fabric.C + 1):
-            fabric.send("preprocessing", c, CU, "gram_partial", partials[c - 1])
-            acc = acc + partials[c - 1]
-        gram = hermitize(acc)
-        for c in range(1, fabric.C + 1):
-            fabric.send("preprocessing", CU, c, "gram_total", gram)
-    else:
-        acc = np.zeros((k, k), dtype=np.complex128)
-        for c in range(1, fabric.C + 1):
-            acc = acc + partials[c - 1]
-            fabric.send("preprocessing", c, fabric.next_du(c), "gram_partial", acc)
-        gram = hermitize(acc)
-        for c in range(1, fabric.C + 1):
-            fabric.send("preprocessing", c, fabric.next_du(c), "gram_total", gram)
-
-    atot = gram + np.eye(k) / es
+    gram, atot = _gram(fabric, es)
+    star = fabric.topology.kind == "star"
     blocks = []
     for c in range(1, fabric.C + 1):
+        src, dst = (CU, c) if star else (c, fabric.next_du(c))
+        fabric.send("preprocessing", src, dst, "gram_total", gram)
         with fabric.local(c) as du:
             wc = hpd_solve(atot, du.cache["Q"])
             du.cache["W"] = wc
@@ -347,27 +351,6 @@ def run_bdac(fabric: Fabric, es: float) -> tuple[eq.EqualizerResult, np.ndarray]
     w = np.hstack(blocks)
     return (eq.EqualizerResult(W=w, blocks=tuple(blocks), algorithm="bdac"),
             accumulate_symbols(fabric))
-
-
-def accumulate_symbols(fabric: Fabric) -> np.ndarray:
-    """Ring/star accumulation of the per-cluster partial estimates W_c y_c.
-
-    Each DU forwards the running K x n_coh partial; the last hop is the
-    delivery to the output (decoder) link, so the phase counts exactly
-    2*C*K entries per symbol.
-    """
-    acc = None
-    for c in range(1, fabric.C + 1):
-        with fabric.local(c) as du:
-            part = du.cache["W"] @ du.Y
-        if fabric.topology.kind == "star":
-            fabric.send("symbol_estimation", c, CU, "symbol_partial", part)
-        else:
-            dst = fabric.next_du(c) if c < fabric.C else OUT
-            fabric.send("symbol_estimation", c, dst, "symbol_partial",
-                        part if acc is None else acc + part)
-        acc = part if acc is None else acc + part
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -429,33 +412,22 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
             raise ValueError("use_lrd requires a rank r")
         run_lrd_daisy(fabric, r)
 
-    ring = range(1, fabric.C + 1)
-    k = None
-    # pass 1: Gram accumulation around the ring
-    acc = None
-    for c in ring:
-        with fabric.local(c) as du:
-            q = eq.local_compression(du.H, sample_covariance(du.noise))
-            du.cache["Q"] = q
-            du.cache["S"] = du.cache["G"] if use_lrd else du.samples
-            gc = q @ du.H
-            k = gc.shape[0]
-        acc = gc if acc is None else acc + gc
-        fabric.send("preprocessing", c, fabric.next_du(c), "gram_partial", acc)
-    gram = hermitize(acc)
-    atot = gram + np.eye(k) / es
+    # pass 1: the Gram partials around the ring
+    gram, atot = _gram(fabric, es)
+    k = gram.shape[0]
 
     # pass 2: relay the summed Gram, accumulate B0 = sum_j W_j0 S_j, and
     # factor each DU's block Gram
+    ring = range(1, fabric.C + 1)
     b_acc = None
     factors = []
     for c in ring:
         with fabric.local(c) as du:
+            s = du.cache["S"] = du.cache["G"] if use_lrd else du.samples
             w0 = hpd_solve(atot, du.cache["Q"])
             du.cache["W"] = w0
-            part = w0 @ du.cache["S"]
-            factors.append(eq.BcdBlockFactor(du.H, du.cache["S"], es,
-                                             newton=tol is not None))
+            part = w0 @ s
+            factors.append(eq.BcdBlockFactor(du.H, s, es, newton=tol is not None))
         b_acc = part if b_acc is None else b_acc + part
         fabric.send("preprocessing", c, fabric.next_du(c), "gram_total", gram)
         fabric.send("preprocessing", c, fabric.next_du(c), "b_acc", b_acc)
@@ -478,15 +450,14 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     for c, w in zip(ring, wb):
         fabric.du(c).cache["W"] = w
 
-    result = eq.EqualizerResult(W=np.hstack(wb), blocks=tuple(wb),
-                                algorithm="bcd-lrd" if use_lrd else "bcd",
-                                iterations=n_sweeps)
-    shat = accumulate_symbols(fabric)
-    return result, shat
+    return (eq.EqualizerResult(W=np.hstack(wb), blocks=tuple(wb),
+                               algorithm="bcd-lrd" if use_lrd else "bcd",
+                               iterations=n_sweeps),
+            accumulate_symbols(fabric))
 
 
 # ---------------------------------------------------------------------------
-# Centralized raw shipping (bandwidth reference)
+# Centralized raw shipping (the lmmse and zf protocol)
 # ---------------------------------------------------------------------------
 
 def _lmmse(h: np.ndarray, noise: np.ndarray, es: float) -> eq.EqualizerResult:
@@ -501,8 +472,7 @@ def run_centralized(fabric: Fabric, es: float, central: Callable = _lmmse):
     """Ship raw H_c, noise_c, y_c to the CU and equalize centrally.
 
     ``central(H, noise, es)`` is the equalizer the CU runs (LMMSE by
-    default). Exists for the bandwidth ledger: total transfer is
-    2M(n_coh + K + N) over a coherence block.
+    default). Total transfer is 2M(n_coh + K + N) over a coherence block.
     """
     hs, ns, ys = [], [], []
     for c in range(1, fabric.C + 1):
@@ -559,12 +529,12 @@ def formula_lrd_ledger(sizes: Sequence[int], n: int, r: int) -> int:
 
 def formula_bcd_lrd_ledger(sizes: Sequence[int], k: int, n: int, t: int, r: int,
                            n_coh: int) -> Fraction:
-    """Per-symbol average matching the simulated BCD(LRD) ledger exactly."""
-    c = len(sizes)
+    """Per-symbol average matching the simulated BCD(LRD) ledger exactly.
+
+    The LRD phase, then BCD with the rank r in place of N.
+    """
     return (Fraction(formula_lrd_ledger(sizes, n, r), n_coh)
-            + Fraction(c * (4 * k * k + 2 * k * r), n_coh)
-            + Fraction(2 * t * c * k * (r + k), n_coh)
-            + 2 * c * k)
+            + formula_bcd(len(sizes), k, r, t, n_coh))
 
 
 def formula_bcd_lrd_aggregate(c: int, m: int, k: int, n: int, t: int, r: int,
@@ -575,9 +545,7 @@ def formula_bcd_lrd_aggregate(c: int, m: int, k: int, n: int, t: int, r: int,
     schedule; the difference is reported, never hidden.
     """
     return (Fraction((c - 1) * m * r + 4 * c * n * r, n_coh)
-            + Fraction(c * (4 * k * k + 2 * k * r), n_coh)
-            + Fraction(2 * t * c * k * (r + k), n_coh)
-            + 2 * c * k)
+            + formula_bcd(c, k, r, t, n_coh))
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +559,13 @@ class Algorithm(NamedTuple):
     and returns the symbol estimates; ``spec`` is a
     :class:`dbpeq.bench.AlgoSpec`, of whose ``T``, ``tol`` and ``r`` the
     algorithm reads the ones named in ``params``. ``entries(cfg, spec)``
-    is the exact per-symbol ledger of a fixed-schedule run. A
-    centralized equalizer only ships raw data to the CU; its
-    ``central(H, noise, es)`` equalizes without simulating the fabric.
+    is the exact per-symbol ledger of a fixed-schedule run.
     """
 
     topology: str
     run: Callable
     entries: Callable
     params: tuple[str, ...] = ()
-    central: Optional[Callable] = None
 
 
 def _bcd_symbols(fabric: Fabric, es: float, spec, use_lrd: bool = False) -> np.ndarray:
@@ -613,10 +578,10 @@ def _bcd_symbols(fabric: Fabric, es: float, spec, use_lrd: bool = False) -> np.n
 ALGORITHMS: dict[str, Algorithm] = {
     "zf": Algorithm(
         "star", lambda f, es, a: run_centralized(f, es, _zf)[1],
-        lambda cfg, a: formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh), central=_zf),
+        lambda cfg, a: formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh)),
     "lmmse": Algorithm(
         "star", lambda f, es, a: run_centralized(f, es, _lmmse)[1],
-        lambda cfg, a: formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh), central=_lmmse),
+        lambda cfg, a: formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh)),
     "bdac": Algorithm(
         "star", lambda f, es, a: run_bdac(f, es)[1],
         lambda cfg, a: formula_bdac(cfg.C, cfg.K, cfg.n_coh)),

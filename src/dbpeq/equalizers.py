@@ -110,23 +110,20 @@ def bdac_mmse(h_blocks: Sequence[np.ndarray], r_blocks: Sequence[np.ndarray],
     return _result(w, "bdac", [hc.shape[0] for hc in h_blocks])
 
 
+def compress_cluster(h_c: np.ndarray, y_c: np.ndarray, noise_c: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q_c H_c, Q_c n_c, Q_c y_c), Q_c from the locally estimated R_cc."""
+    q = local_compression(h_c, sample_covariance(noise_c))
+    return q @ h_c, q @ noise_c, q @ y_c
+
+
 def _compress_blocks(h_blocks, y_blocks, noise_blocks):
-    """Per-cluster (Q_c H_c, Q_c n_c, Q_c y_c) from locally estimated R_cc."""
-    qh, qn, qy = [], [], []
-    for hc, yc, nc in zip(h_blocks, y_blocks, noise_blocks):
-        rcc = sample_covariance(nc)
-        q = local_compression(hc, rcc)
-        qh.append(q @ hc)
-        qn.append(q @ nc)
-        qy.append(q @ yc)
-    return qh, qn, qy
+    """The (Q_c H_c), (Q_c n_c), (Q_c y_c) of :func:`compress_cluster` over the clusters."""
+    return zip(*map(compress_cluster, h_blocks, y_blocks, noise_blocks))
 
 
 def _compressed_lmmse(h_eff, r_eff, y_eff, es, tag):
-    k = h_eff.shape[1]
-    rinv_h = hpd_solve(r_eff, h_eff)
-    gram = hermitize(h_eff.conj().T @ rinv_h) + np.eye(k) / es
-    w = hpd_solve(gram, rinv_h.conj().T)
+    w = lmmse_centralized(h_eff, r_eff, es).W
     return _result(w, tag), w @ y_eff
 
 

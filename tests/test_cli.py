@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, config round-trip."""
 
+import hashlib
 import json
 
 import pytest
@@ -140,6 +141,24 @@ class TestRun:
         totals = replay_totals("\n".join(data))
         assert totals["preprocessing"] > 0
 
+    def test_dump_messages_digest(self, tmp_path):
+        # the log holds only integers, so its bytes do not depend on the
+        # machine; any change to a protocol's schedule changes them
+        log = tmp_path / "messages.log"
+        assert _run(["run", "--algorithms", "zf,lmmse,bdac,sdr,cdr,bcd,bcd-lrd",
+                     "--trials", "1", "--snr", "10", "--seed", "0",
+                     "--out", str(tmp_path / "r.csv"),
+                     "--dump-messages", str(log)]) == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == \
+            "0d7fb6538e00e3a06c7845a104f1b9569c93cc656f087427eb2b4c437dd70ed4"
+
+    def test_bad_thread_cap_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DBP_EQ_THREADS", "abc")
+        assert _run(["run", *BASE, "--workers", "2", "--out", str(tmp_path / "r.csv"),
+                     "--dump-config", str(tmp_path / "c.json")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerify:
     def test_filter_runs_subset(self, capsys):
@@ -172,6 +191,19 @@ class TestBandwidth:
         assert "362.666667" in out
         assert "181.333333" in out
         assert "NO" not in out
+        assert "note: bcd-lrd aggregate closed form" in out
+
+    def test_channel_and_iot_reach_the_realization(self, monkeypatch, capsys):
+        seen = []
+        gen_realization = cli.gen_realization
+
+        def spy(cfg, trial):
+            seen.append(cfg)
+            return gen_realization(cfg, trial)
+
+        monkeypatch.setattr(cli, "gen_realization", spy)
+        assert _run(["bandwidth", "--channel", "one_ring", "--iot", "3"]) == 0
+        assert [(c.channel_model, c.iot_db) for c in seen] == [("one_ring", 3.0)]
 
     def test_bad_params_exit_2(self):
         assert _run(["bandwidth", "--M", "4", "--K", "8"]) == 2
@@ -194,3 +226,6 @@ class TestBandwidth:
         assert len(fails) == 1 and fails[0].split()[0] == failing
         assert "RankOutOfRange" in fails[0] or "NotPositiveDefinite" in fails[0]
         assert sum(ln.endswith("yes") for ln in lines) == 6
+        # the note's figures are for the bcd-lrd rank, so only a row that ran prints it
+        notes = [ln for ln in lines if ln.startswith("note:")]
+        assert len(notes) == (0 if failing == "bcd-lrd" else 1)

@@ -173,18 +173,17 @@ class TestMessages:
         totals = dbpnet.replay_totals(fab.dump_log())
         assert sum(totals.values()) == fab.ledger.total
         assert totals["preprocessing"] == fab.ledger.phases["preprocessing"]
-        assert totals["iteration[0]"] == fab.ledger.iterations[0]
-        assert totals["iteration[1]"] == fab.ledger.iterations[1]
+        assert totals["iteration[0]"] == fab.ledger.phases["iteration[0]"]
+        assert totals["iteration[1]"] == fab.ledger.phases["iteration[1]"]
         assert totals["symbol_estimation"] == fab.ledger.phases["symbol_estimation"]
 
     def test_replay_matches_ledger_in_tol_mode(self):
         fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
         res, _ = dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-6)
         assert res.iterations > 1
-        assert len(fab.ledger.iterations) == res.iterations
+        sweeps = [p for p in fab.ledger.phases if p.startswith("iteration[")]
+        assert sweeps == [f"iteration[{t}]" for t in range(res.iterations)]
         expected = {p: v for p, v in fab.ledger.phases.items() if v}
-        expected.update({f"iteration[{t}]": v
-                         for t, v in enumerate(fab.ledger.iterations)})
         assert dbpnet.replay_totals(fab.dump_log()) == expected
 
     def test_tol_mode_payloads_are_not_aliased(self):
@@ -277,12 +276,13 @@ class TestProtocolEquivalence:
 
     @pytest.mark.parametrize("name", ["lmmse", "zf"])
     def test_centralized_row_matches_its_protocol(self, name):
-        # sweeps equalize centralized rows in place; the protocol ships raw data
+        # the protocol ships raw data; the CU runs the library equalizer
         fab, rz, blk = _fabric(_cfg())
         row = dbpnet.ALGORITHMS[name]
         shat_p = row.run(fab, 1.0, bench.AlgoSpec(name))
-        shat_l = row.central(rz.H, rz.noise, 1.0).W @ blk.Y
-        np.testing.assert_array_equal(shat_p, shat_l)
+        res_l = (eq.lmmse_centralized(rz.H, sample_covariance(rz.noise), 1.0)
+                 if name == "lmmse" else eq.zf_centralized(rz.H))
+        np.testing.assert_array_equal(shat_p, res_l.W @ blk.Y)
 
     def test_lrd_rank_guard(self):
         cfg = _cfg(M=16, C=4, N=48)
@@ -364,6 +364,18 @@ class TestLedgerFormulas:
         row.run(fab, 1.0, algo)
         assert fab.ledger.per_symbol_average() == row.entries(cfg, algo)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
+    @pytest.mark.parametrize("name", list(dbpnet.ALGORITHMS))
+    def test_table_row_replay(self, name, m, k, c, n, ncoh, t, r):
+        # the message log alone reproduces every non-empty ledger phase
+        cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
+        row = dbpnet.ALGORITHMS[name]
+        fab, _, _ = _fabric(cfg, kind=row.topology, record_log=True)
+        row.run(fab, 1.0, bench.default_algo(name, cfg, T=t, r=r))
+        expected = {p: v for p, v in fab.ledger.phases.items() if v}
+        assert dbpnet.replay_totals(fab.dump_log()) == expected
+
     @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
     def test_bcd(self, m, k, c, n, ncoh, t, r):
         cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
@@ -416,7 +428,9 @@ class TestLedgerFormulas:
         cfg = _cfg()
         fab, _, _ = _fabric(cfg, kind="daisy")
         dbpnet.run_bcd_daisy(fab, 1.0, sweeps=3)
-        assert len(fab.ledger.iterations) == 3
-        assert len(set(fab.ledger.iterations)) == 1
+        iterations = [v for p, v in fab.ledger.phases.items()
+                      if p.startswith("iteration[")]
+        assert len(iterations) == 3
+        assert len(set(iterations)) == 1
         # each sweep: C hops of (K x K) + (K x N)
-        assert fab.ledger.iterations[0] == 2 * 4 * (4 * 4 + 4 * 64)
+        assert fab.ledger.phases["iteration[0]"] == 2 * 4 * (4 * 4 + 4 * 64)
