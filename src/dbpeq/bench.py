@@ -45,7 +45,8 @@ class AlgoSpec:
     """One algorithm to benchmark, with its iteration/rank parameters.
 
     BCD runs ``T`` sweeps, or converges to ``tol``, or runs 4 sweeps if
-    neither is given; invalid values raise ConfigError.
+    neither is given; bcd-lrd needs its rank ``r``. Invalid or missing
+    values raise ConfigError.
     """
 
     name: str
@@ -65,6 +66,8 @@ class AlgoSpec:
             raise ConfigError(f"BCD tolerance must be > 0, got {self.tol}")
         if self.r is not None and self.r < 1:
             raise ConfigError(f"LRD rank r must be >= 1, got {self.r}")
+        if self.r is None and "r" in dbpnet.ALGORITHMS[self.name].params:
+            raise ConfigError(f"{self.name} needs an LRD rank r")
         if not self.label:
             object.__setattr__(self, "label", self.name)
 
@@ -81,11 +84,11 @@ class RunSpec:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.snr_grid:
-            raise ValueError("snr grid must be non-empty")
+            raise ConfigError("snr grid must be non-empty")
         if not self.algorithms:
-            raise ValueError("algorithm list must be non-empty")
+            raise ConfigError("algorithm list must be non-empty")
 
 
 def default_algo(name: str, cfg: SystemConfig, T: int = 4, r: Optional[int] = None) -> AlgoSpec:
@@ -105,12 +108,11 @@ def _run_trial(spec: RunSpec, trial: int) -> dict:
         block = gen_symbol_block(cfg, realization, trial)
         for algo in spec.algorithms:
             t0 = time.perf_counter() if spec.timing else 0.0
-            row = dbpnet.ALGORITHMS[algo.name]
-            fabric = dbpnet.make_fabric(realization, block.Y, row.topology, n_coh=cfg.n_coh)
             try:
-                shat = row.run(fabric, cfg.Es, algo)
-            except NumericsError:
-                out[(algo.label, snr)] = {"fail": True}
+                shat, fabric = dbpnet.run_cell(algo, realization, block.Y, cfg)
+            except NumericsError as exc:
+                out[(algo.label, snr)] = {"fail": True,
+                                          "error": f"{type(exc).__name__}: {exc}"}
                 continue
             elapsed = time.perf_counter() - t0 if spec.timing else 0.0
             detected = slice_symbols(shat, cfg.modulation, cfg.Es)
@@ -194,10 +196,11 @@ def run_sweep(spec: RunSpec) -> SerReport:
                 "M": cfg.M, "C": cfg.C, "K": cfg.K, "N": cfg.N,
                 "T": algo.T, "r": algo.r,
             }
-            if any(c["fail"] for c in cells):
+            failed = [c["error"] for c in cells if c["fail"]]
+            if failed:  # ``error``, not a CSV field, is the first failed trial's reason
                 base.update(ser="FAIL", mse="FAIL",
                             avg_entries_per_symbol=None, wallclock_s=0.0,
-                            errors=None, symbols=None)
+                            errors=None, symbols=None, error=failed[0])
             else:
                 errors = sum(c["errors"] for c in cells)
                 symbols = sum(c["symbols"] for c in cells)

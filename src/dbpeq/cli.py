@@ -28,19 +28,16 @@ from .bench import ALGORITHMS, RunSpec, default_algo
 from .numerics import NumericsError
 from .scenario import ConfigError, SystemConfig, gen_realization, gen_symbol_block
 
-_CONFIG_KEYS = {
-    "seed": int, "out": str, "algorithms": str, "snr": str, "iot": float,
-    "M": int, "K": int, "C": int, "N": int, "T": int, "r": int,
-    "ncoh": int, "trials": int, "channel": str, "modulation": str,
-    "workers": int, "timing": bool,
-}
-
+# every config key and its default; the casts in _build_spec type the values
 _DEFAULTS = {
     "seed": 0, "out": "results.csv", "algorithms": "lmmse,bdac,sdr,cdr,bcd",
     "snr": "0,5,10,15,20", "iot": 10.0, "M": 32, "K": 4, "C": 4, "N": 64,
     "T": 4, "r": None, "ncoh": 480, "trials": 50, "channel": "rayleigh",
     "modulation": "qam16", "workers": 1, "timing": False,
 }
+
+# what bad settings raise on their way to a RunSpec (ConfigError is a ValueError)
+_SETTINGS_ERRORS = (OSError, TypeError, ValueError)
 
 
 def _fail_config(msg: str) -> int:
@@ -56,7 +53,7 @@ def _load_config(path: Optional[str]) -> dict:
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
         for key, value in data.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key: {key!r}")
             cfg[key] = value
     return cfg
@@ -77,34 +74,32 @@ def _parse_algorithms(text: str) -> tuple[str, ...]:
         if name not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
-    if not names:
-        raise ConfigError("at least one algorithm is required")
     return names
 
 
 def _merged_settings(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULTS)
     settings.update(_load_config(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _DEFAULTS:
         override = getattr(args, key, None)
         if override is not None:
             settings[key] = override
     return settings
 
 
-def _build_spec(settings: dict) -> RunSpec:
+def _build_spec(settings: dict, names: Sequence[str] = ()) -> RunSpec:
+    """The RunSpec of ``settings``; ``names`` replaces their algorithm list."""
     cfg = SystemConfig(
         M=int(settings["M"]), K=int(settings["K"]), C=int(settings["C"]),
         N=int(settings["N"]), iot_db=float(settings["iot"]),
         n_coh=int(settings["ncoh"]), modulation=str(settings["modulation"]),
         channel_model=str(settings["channel"]), seed=int(settings["seed"]),
     )
-    names = _parse_algorithms(settings["algorithms"])
     r = settings["r"]
     algos = tuple(
         default_algo(name, cfg, T=int(settings["T"]),
                      r=int(r) if r is not None else None)
-        for name in names
+        for name in names or _parse_algorithms(settings["algorithms"])
     )
     return RunSpec(
         cfg=cfg, algorithms=algos, snr_grid=_parse_snr(settings["snr"]),
@@ -117,7 +112,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         settings = _merged_settings(args)
         spec = _build_spec(settings)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except _SETTINGS_ERRORS as exc:
         return _fail_config(str(exc))
 
     # the sweep runs first, so a config error it raises leaves no file behind
@@ -127,7 +122,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail_config(str(exc))
 
     if args.dump_config:
-        dump = {k: settings[k] for k in sorted(_CONFIG_KEYS) if settings[k] is not None}
+        dump = {k: settings[k] for k in sorted(_DEFAULTS) if settings[k] is not None}
         with open(args.dump_config, "w", encoding="utf-8") as fh:
             json.dump(dump, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -136,6 +131,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         _dump_messages(spec, args.dump_messages)
 
     failed = [row for row in report.rows if row["ser"] == "FAIL"]
+    for row in failed:
+        print(f"FAIL {row['algorithm']} at {row['snr_db']} dB: {row['error']}",
+              file=sys.stderr)
     print(f"wrote {spec.out_path}: {len(report.rows)} rows, "
           f"{len(failed)} failed", file=sys.stderr)
     if report.rows and len(failed) == len(report.rows) and len(spec.algorithms) > 1:
@@ -145,17 +143,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _dump_messages(spec: RunSpec, path: str) -> None:
-    """Write the message log of a single representative trial."""
+    """Write one trial's message log; a failed algorithm logs a ``# FAIL`` line."""
     cfg = replace(spec.cfg, snr_db=spec.snr_grid[0])
     rz = gen_realization(cfg, 0)
     block = gen_symbol_block(cfg, rz, 0)
     lines = []
     for algo in spec.algorithms:
-        row = dbpnet.ALGORITHMS[algo.name]
-        fab = dbpnet.make_fabric(rz, block.Y, row.topology, n_coh=cfg.n_coh,
-                                 record_log=True)
-        row.run(fab, cfg.Es, algo)
         lines.append(f"# algorithm={algo.label}")
+        try:
+            _, fab = dbpnet.run_cell(algo, rz, block.Y, cfg, record_log=True)
+        except NumericsError as exc:
+            lines.append(f"# FAIL {type(exc).__name__}: {exc}")
+            continue
         lines.append(fab.dump_log())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -181,27 +180,23 @@ def _fmt_frac(x: Fraction) -> str:
 def cmd_bandwidth(args: argparse.Namespace) -> int:
     try:
         settings = _merged_settings(args)
-        m, k, c = int(settings["M"]), int(settings["K"]), int(settings["C"])
-        n, t, ncoh = int(settings["N"]), int(settings["T"]), int(settings["ncoh"])
-        r = int(settings["r"]) if settings["r"] is not None else k
-        cfg = SystemConfig(M=m, K=k, C=c, N=n, n_coh=ncoh, iot_db=float(settings["iot"]),
-                           channel_model=str(settings["channel"]),
-                           seed=int(settings["seed"]))
-        algos = [default_algo(name, cfg, T=t, r=r) for name in ALGORITHMS]
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+        spec = _build_spec(settings, names=ALGORITHMS)
+    except _SETTINGS_ERRORS as exc:
         return _fail_config(str(exc))
 
+    cfg = spec.cfg
+    m, k, c, n, ncoh = cfg.M, cfg.K, cfg.C, cfg.N, cfg.n_coh
+    lrd = next(a for a in spec.algorithms if a.name == "bcd-lrd")
+    t, r = lrd.T, lrd.r
     rz = gen_realization(cfg, 0)
     block = gen_symbol_block(cfg, rz, 0)
     print(f"M={m} K={k} C={c} N={n} T={t} r={r} ncoh={ncoh}")
     print(f"{'algorithm':<12} {'formula':>14} {'ledger':>14} {'match':>6}")
     ok = True
-    for algo in algos:
-        row = dbpnet.ALGORITHMS[algo.name]
-        want = row.entries(cfg, algo)
-        fab = dbpnet.make_fabric(rz, block.Y, row.topology, n_coh=ncoh)
+    for algo in spec.algorithms:
+        want = dbpnet.ALGORITHMS[algo.name].entries(cfg, algo)
         try:
-            row.run(fab, cfg.Es, algo)
+            _, fab = dbpnet.run_cell(algo, rz, block.Y, cfg)
         except NumericsError as exc:
             ok = False
             print(f"{algo.name:<12} {_fmt_frac(want):>14} {'FAIL':>14} "
@@ -212,7 +207,7 @@ def cmd_bandwidth(args: argparse.Namespace) -> int:
         print(f"{algo.name:<12} {_fmt_frac(want):>14} {_fmt_frac(got):>14} "
               f"{'yes' if got == want else 'NO':>6}")
         # the note's figures are for the bcd-lrd rank, so only a row that ran has them
-        if algo.name == "bcd-lrd":
+        if algo is lrd:
             aggregate = dbpnet.formula_bcd_lrd_aggregate(c, m, k, n, t, r, ncoh)
             ledger = dbpnet.formula_bcd_lrd_ledger(rz.partition.sizes, k, n, t, r, ncoh)
             print(f"note: bcd-lrd aggregate closed form {_fmt_frac(aggregate)} exceeds "

@@ -387,11 +387,12 @@ def run_lrd_daisy(fabric: Fabric, r: int) -> None:
 
 
 def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
-                  use_lrd: bool = False, r: Optional[int] = None,
-                  tol: Optional[float] = None, max_sweeps: int = 200
-                  ) -> tuple[eq.EqualizerResult, np.ndarray]:
-    """Gauss-Seidel BCD equalization over the ring.
+                  r: Optional[int] = None, tol: Optional[float] = None,
+                  max_sweeps: int = 200) -> tuple[eq.EqualizerResult, np.ndarray]:
+    """Gauss-Seidel BCD equalization over the ring; BCD-LRD when ``r`` is given.
 
+    With a rank ``r`` the LRD relay (:func:`run_lrd_daisy`) runs first
+    and every DU uses its rank-r G_c in place of its pilot samples.
     Preprocessing makes two ring passes: Gram-partial accumulation
     (K x K per hop), then the summed Gram plus the running compressed
     sample accumulator (K x K + K x N, or K x r with LRD) while each DU
@@ -407,9 +408,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     """
     if fabric.topology.kind != "daisy":
         raise TopologyError("BCD runs on the daisy-chain topology")
-    if use_lrd:
-        if r is None:
-            raise ValueError("use_lrd requires a rank r")
+    if r is not None:
         run_lrd_daisy(fabric, r)
 
     # pass 1: the Gram partials around the ring
@@ -423,7 +422,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     factors = []
     for c in ring:
         with fabric.local(c) as du:
-            s = du.cache["S"] = du.cache["G"] if use_lrd else du.samples
+            s = du.cache["S"] = du.samples if r is None else du.cache["G"]
             w0 = hpd_solve(atot, du.cache["Q"])
             du.cache["W"] = w0
             part = w0 @ s
@@ -451,7 +450,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
         fabric.du(c).cache["W"] = w
 
     return (eq.EqualizerResult(W=np.hstack(wb), blocks=tuple(wb),
-                               algorithm="bcd-lrd" if use_lrd else "bcd",
+                               algorithm="bcd" if r is None else "bcd-lrd",
                                iterations=n_sweeps),
             accumulate_symbols(fabric))
 
@@ -568,9 +567,9 @@ class Algorithm(NamedTuple):
     params: tuple[str, ...] = ()
 
 
-def _bcd_symbols(fabric: Fabric, es: float, spec, use_lrd: bool = False) -> np.ndarray:
-    return run_bcd_daisy(fabric, es, sweeps=spec.T, tol=spec.tol, use_lrd=use_lrd,
-                         r=spec.r, max_sweeps=10000)[1]
+def _bcd_symbols(fabric: Fabric, es: float, spec, r: Optional[int] = None) -> np.ndarray:
+    return run_bcd_daisy(fabric, es, sweeps=spec.T, tol=spec.tol, r=r,
+                         max_sweeps=10000)[1]
 
 
 # Rows call the protocols and formulas by their module-level names, never
@@ -595,8 +594,20 @@ ALGORITHMS: dict[str, Algorithm] = {
         "daisy", _bcd_symbols,
         lambda cfg, a: formula_bcd(cfg.C, cfg.K, cfg.N, a.T, cfg.n_coh), ("T", "tol")),
     "bcd-lrd": Algorithm(
-        "daisy", lambda f, es, a: _bcd_symbols(f, es, a, use_lrd=True),
+        "daisy", lambda f, es, a: _bcd_symbols(f, es, a, r=a.r),
         lambda cfg, a: formula_bcd_lrd_ledger(balanced_partition(cfg.M, cfg.C).sizes,
                                               cfg.K, cfg.N, a.T, a.r, cfg.n_coh),
         ("T", "tol", "r")),
 }
+
+
+def run_cell(spec, realization: Realization, y: np.ndarray, cfg,
+             record_log: bool = False) -> tuple[np.ndarray, Fabric]:
+    """Run the row of ``spec`` (an AlgoSpec) on a new fabric; returns (estimates, fabric).
+
+    Built by the module-level ``make_fabric``, so a replaced name sees every cell.
+    """
+    row = ALGORITHMS[spec.name]
+    fabric = make_fabric(realization, y, row.topology, n_coh=cfg.n_coh,
+                         record_log=record_log)
+    return row.run(fabric, cfg.Es, spec), fabric

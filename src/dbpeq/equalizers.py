@@ -393,36 +393,25 @@ def bcd_init_bdac(h_blocks, noise_blocks, es: float) -> list[np.ndarray]:
 
 
 def bcd_solve(h_blocks, noise_blocks, es: float, sweeps: Optional[int] = None,
-              tol: Optional[float] = None, init: str = "bdac",
-              sample_blocks=None, max_sweeps: int = 200) -> EqualizerResult:
-    """Gauss-Seidel BCD over the per-cluster blocks of W.
+              tol: Optional[float] = None, sample_blocks=None,
+              max_sweeps: int = 200) -> EqualizerResult:
+    """Gauss-Seidel BCD over the per-cluster blocks of W, from the BDAC start.
 
     Runs :func:`bcd_iterate` and follows its rule: ``tol`` converges
     for at most ``max_sweeps`` sweeps, else ``sweeps`` sweeps run (4 if
     neither is given); giving both raises ValueError. A converge-mode
     result is promised to ``tol``, not to the bits of a fixed-sweep run.
-    From the BDAC start, either mode is bit-identical to
-    :func:`dbpeq.dbpnet.run_bcd_daisy`. ``sample_blocks`` substitutes
-    the scaled pilot matrices (e.g. the low-rank G_c) in every sample
-    term.
+    Either mode is bit-identical to :func:`dbpeq.dbpnet.run_bcd_daisy`.
+    ``sample_blocks`` substitutes the scaled pilot matrices (e.g. the
+    low-rank G_c) in every sample term.
     """
-    sizes = [hc.shape[0] for hc in h_blocks]
-    k = h_blocks[0].shape[1]
     if sample_blocks is None:
         sample_blocks = [scaled_samples(nc) for nc in noise_blocks]
-    if init == "bdac":
-        wb, a, b = bdac_state(h_blocks, noise_blocks, sample_blocks, es)
-    elif init == "zero":
-        wb = [np.zeros((k, m), dtype=np.complex128) for m in sizes]
-        a = np.zeros((k, k), dtype=np.complex128)
-        b = np.zeros((k, sample_blocks[0].shape[1]), dtype=np.complex128)
-    else:
-        raise ValueError(f"unknown init {init!r}")
-
+    wb, a, b = bdac_state(h_blocks, noise_blocks, sample_blocks, es)
     factors = [BcdBlockFactor(hc, sc, es, newton=tol is not None)
                for hc, sc in zip(h_blocks, sample_blocks)]
     n_sweeps = bcd_iterate(factors, wb, np.hstack([a, b]), sweeps, tol, max_sweeps)
-    return _result(np.hstack(wb), "bcd", sizes, n_sweeps)
+    return _result(np.hstack(wb), "bcd", [hc.shape[0] for hc in h_blocks], n_sweeps)
 
 
 # ---------------------------------------------------------------------------

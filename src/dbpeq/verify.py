@@ -183,8 +183,7 @@ def check_ledger_formulas(tamper: bool = False) -> CheckResult:
         block = gen_symbol_block(cfg, rz, 0)
         for name, row in dbpnet.ALGORITHMS.items():
             algo = default_algo(name, cfg, T=g["T"], r=g["r"])
-            fab = dbpnet.make_fabric(rz, block.Y, row.topology, n_coh=cfg.n_coh)
-            row.run(fab, cfg.Es, algo)
+            _, fab = dbpnet.run_cell(algo, rz, block.Y, cfg)
             got = fab.ledger.per_symbol_average()
             want = row.entries(cfg, algo)
             if tamper:

@@ -245,8 +245,7 @@ def test_07_bandwidth_ledger_equals_formulas(capsys):
              dbpnet.formula_bcd(c, k, n, t, ncoh)),
             ("bcd-lrd",
              ledger("daisy",
-                    lambda f: dbpnet.run_bcd_daisy(f, cfg.Es, sweeps=t,
-                                                   use_lrd=True, r=r)),
+                    lambda f: dbpnet.run_bcd_daisy(f, cfg.Es, sweeps=t, r=r)),
              dbpnet.formula_bcd_lrd_ledger(sizes, k, n, t, r, ncoh)),
         ]
         for name, got, want in cases:

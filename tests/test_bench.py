@@ -40,9 +40,10 @@ class TestSpecs:
 
     @pytest.mark.parametrize("kw", [
         dict(T=-1), dict(tol=0.0), dict(tol=-1.0), dict(r=0),
-        dict(T=2, tol=1e-3),
+        dict(T=2, tol=1e-3), dict(),
     ])
     def test_algospec_rejects_bad_bcd_settings(self, kw):
+        # dict(): without its rank, bcd-lrd would run plain BCD under its label
         with pytest.raises(ConfigError):
             AlgoSpec("bcd-lrd", **kw)
 

@@ -63,3 +63,28 @@ def test_solver_has_the_bound_parameters(solver, wrapper):
     names = _bound_names(wrapper)
     assert names, "no bound parameters found"
     assert names <= set(inspect.signature(solver).parameters)
+
+
+def test_every_cell_builds_its_fabric_through_make_fabric(monkeypatch, capsys):
+    # the tracer's ``dbpnet.entries`` sums the ledgers of the fabrics that
+    # ``dbpnet.make_fabric`` returns, so every table cell must come from it
+    kinds = []
+    make_fabric = dbpeq.dbpnet.make_fabric
+
+    def counting(*args, **kwargs):
+        kinds.append(args[2])
+        return make_fabric(*args, **kwargs)
+
+    monkeypatch.setattr(dbpeq.dbpnet, "make_fabric", counting)
+    names = tuple(dbpeq.dbpnet.ALGORITHMS)
+    want = [dbpeq.dbpnet.ALGORITHMS[name].topology for name in names]
+    cfg = dbpeq.SystemConfig(M=16, K=4, C=4, N=64, n_coh=48, seed=3)
+    algos = tuple(dbpeq.bench.default_algo(name, cfg) for name in names)
+    dbpeq.bench.run_sweep(dbpeq.bench.RunSpec(cfg=cfg, algorithms=algos,
+                                              snr_grid=(10.0,), trials=1))
+    assert kinds == want
+    kinds.clear()
+    assert dbpeq.cli.main(["bandwidth", "--M", "16", "--ncoh", "48"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [ln.split()[0] for ln in rows if not ln.startswith("note:")] == list(names)
+    assert kinds == want

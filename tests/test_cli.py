@@ -152,6 +152,42 @@ class TestRun:
         assert hashlib.sha256(log.read_bytes()).hexdigest() == \
             "0d7fb6538e00e3a06c7845a104f1b9569c93cc656f087427eb2b4c437dd70ed4"
 
+    def test_dump_messages_logs_a_failing_cell(self, tmp_path):
+        # cdr's compressed covariance has rank N = 8 < C*K = 16; the sweep
+        # writes a FAIL row, and the message log says why instead of crashing
+        log = tmp_path / "m.log"
+        assert _run(["run", "--M", "32", "--K", "4", "--C", "4", "--N", "8",
+                     "--algorithms", "cdr", "--trials", "1", "--out", str(tmp_path / "r.csv"),
+                     "--dump-messages", str(log)]) == 0
+        lines = log.read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == "# algorithm=cdr"
+        assert lines[1].startswith("# FAIL NotPositiveDefinite: ")
+
+    @pytest.mark.parametrize("flags,config", [
+        pytest.param(["--trials", "0"], None, id="no-trials"),
+        pytest.param([], {"snr": []}, id="empty-snr-grid"),
+        pytest.param([], {"M": "x"}, id="wrong-type"),
+        pytest.param([], {"K": None}, id="null"),
+    ])
+    def test_bad_sweep_settings_exit_2(self, tmp_path, capsys, flags, config):
+        argv = ["run", *flags, "--out", str(tmp_path / "r.csv")]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "c.json")]
+        assert _run(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    # the ridge fallback warns on the one-antenna clusters of C = M
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fail_rows_say_why(self, tmp_path, capsys):
+        # C = M: cdr's compressed covariance (C*K = 128 > N = 64) is singular
+        assert _run(["run", "--M", "32", "--C", "32", "--algorithms", "cdr,lmmse",
+                     "--trials", "1", "--out", str(tmp_path / "r.csv")]) == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAIL")]
+        assert len(lines) == 5
+        assert all(ln.startswith("FAIL cdr ") and "NotPositiveDefinite" in ln for ln in lines)
+
     def test_bad_thread_cap_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DBP_EQ_THREADS", "abc")
         assert _run(["run", *BASE, "--workers", "2", "--out", str(tmp_path / "r.csv"),

@@ -24,6 +24,14 @@ def _cfg(**kw):
     return SystemConfig(**base)
 
 
+def _cell(cfg, algo, record_log=False):
+    """dbpnet.run_cell on trial 0: (estimates, fabric, realization, block)."""
+    rz = gen_realization(cfg, 0)
+    blk = gen_symbol_block(cfg, rz, 0)
+    shat, fab = dbpnet.run_cell(algo, rz, blk.Y, cfg, record_log=record_log)
+    return shat, fab, rz, blk
+
+
 def _fabric(cfg, trial=0, kind="star", record_log=False):
     rz = gen_realization(cfg, trial)
     blk = gen_symbol_block(cfg, rz, trial)
@@ -257,7 +265,7 @@ class TestProtocolEquivalence:
     def test_bcd_lrd(self):
         cfg = _cfg(M=16, C=4, N=48)
         fab, rz, blk = _fabric(cfg, kind="daisy")
-        res_p, _ = dbpnet.run_bcd_daisy(fab, 1.0, sweeps=3, use_lrd=True, r=4)
+        res_p, _ = dbpnet.run_bcd_daisy(fab, 1.0, sweeps=3, r=4)
         sb = [eq.scaled_samples(n) for n in rz.noise_blocks()]
         g_blocks, _ = eq.lrd_sequential(sb, 4)
         res_l = eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), 1.0, sweeps=3,
@@ -277,9 +285,7 @@ class TestProtocolEquivalence:
     @pytest.mark.parametrize("name", ["lmmse", "zf"])
     def test_centralized_row_matches_its_protocol(self, name):
         # the protocol ships raw data; the CU runs the library equalizer
-        fab, rz, blk = _fabric(_cfg())
-        row = dbpnet.ALGORITHMS[name]
-        shat_p = row.run(fab, 1.0, bench.AlgoSpec(name))
+        shat_p, _, rz, blk = _cell(_cfg(), bench.AlgoSpec(name))
         res_l = (eq.lmmse_centralized(rz.H, sample_covariance(rz.noise), 1.0)
                  if name == "lmmse" else eq.zf_centralized(rz.H))
         np.testing.assert_array_equal(shat_p, res_l.W @ blk.Y)
@@ -358,11 +364,9 @@ class TestLedgerFormulas:
     def test_table_row(self, name, m, k, c, n, ncoh, t, r):
         # each row's protocol runs on its fabric with its formula's ledger
         cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
-        row = dbpnet.ALGORITHMS[name]
         algo = bench.default_algo(name, cfg, T=t, r=r)
-        fab, _, _ = _fabric(cfg, kind=row.topology)
-        row.run(fab, 1.0, algo)
-        assert fab.ledger.per_symbol_average() == row.entries(cfg, algo)
+        _, fab, _, _ = _cell(cfg, algo)
+        assert fab.ledger.per_symbol_average() == dbpnet.ALGORITHMS[name].entries(cfg, algo)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
@@ -370,9 +374,7 @@ class TestLedgerFormulas:
     def test_table_row_replay(self, name, m, k, c, n, ncoh, t, r):
         # the message log alone reproduces every non-empty ledger phase
         cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
-        row = dbpnet.ALGORITHMS[name]
-        fab, _, _ = _fabric(cfg, kind=row.topology, record_log=True)
-        row.run(fab, 1.0, bench.default_algo(name, cfg, T=t, r=r))
+        _, fab, _, _ = _cell(cfg, bench.default_algo(name, cfg, T=t, r=r), record_log=True)
         expected = {p: v for p, v in fab.ledger.phases.items() if v}
         assert dbpnet.replay_totals(fab.dump_log()) == expected
 
@@ -400,7 +402,7 @@ class TestLedgerFormulas:
     def test_bcd_lrd(self, m, k, c, n, ncoh, t, r):
         cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
         fab, rz, _ = _fabric(cfg, kind="daisy")
-        dbpnet.run_bcd_daisy(fab, 1.0, sweeps=t, use_lrd=True, r=r)
+        dbpnet.run_bcd_daisy(fab, 1.0, sweeps=t, r=r)
         assert fab.ledger.per_symbol_average() == \
             dbpnet.formula_bcd_lrd_ledger(rz.partition.sizes, k, n, t, r, ncoh)
 
