@@ -57,7 +57,8 @@ class AlgoSpec:
 
     def __post_init__(self):
         if self.name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.name!r}")
+            raise ConfigError(
+                f"unknown algorithm {self.name!r}; choose from {', '.join(ALGORITHMS)}")
         if self.T is not None and self.tol is not None:
             raise ConfigError("give a BCD sweep count T or a tolerance tol, not both")
         if self.T is not None and self.T < 0:

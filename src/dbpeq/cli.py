@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -26,18 +28,71 @@ from typing import Optional, Sequence
 from . import bench, dbpnet, verify
 from .bench import ALGORITHMS, RunSpec, default_algo
 from .numerics import NumericsError
-from .scenario import ConfigError, SystemConfig, gen_realization, gen_symbol_block
+from .scenario import (CHANNEL_MODELS, MODULATIONS, ConfigError, SystemConfig,
+                       gen_realization, gen_symbol_block)
 
-# every config key and its default; the casts in _build_spec type the values
-_DEFAULTS = {
-    "seed": 0, "out": "results.csv", "algorithms": "lmmse,bdac,sdr,cdr,bcd",
-    "snr": "0,5,10,15,20", "iot": 10.0, "M": 32, "K": 4, "C": 4, "N": 64,
-    "T": 4, "r": None, "ncoh": 480, "trials": 50, "channel": "rayleigh",
-    "modulation": "qam16", "workers": 1, "timing": False,
+
+def _integer(value) -> int:
+    """A JSON integer or a string of digits; no bools, no fractions."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value.strip()):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("expected an integer")
+
+
+def _real(value) -> float:
+    """A finite JSON number, or a string of one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError("expected a number")
+    if not math.isfinite(x := float(value)):
+        raise ValueError("expected a finite number")
+    return x
+
+
+def _exact(kind: type):
+    """A parser that passes a value of type ``kind`` and refuses any other."""
+    def parse(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"expected a {kind.__name__}")
+        return value
+    return parse
+
+
+def _list_of(parse):
+    """A parser of a JSON list, or of one comma string, of ``parse`` items."""
+    def parse_list(value) -> tuple:
+        items = [x.strip() for x in value.split(",")] if isinstance(value, str) else value
+        if not isinstance(items, list):
+            raise ValueError("expected a list or a comma string")
+        return tuple(parse(x) for x in items)
+    return parse_list
+
+
+# every setting: its default, the parser of a flag or config value, its flag help
+SETTINGS = {
+    "seed": (0, _integer, "base RNG seed"),
+    "M": (32, _integer, "number of BS antennas"),
+    "K": (4, _integer, "number of users"),
+    "C": (4, _integer, "number of antenna clusters / DUs"),
+    "N": (64, _integer, "training samples per coherence block"),
+    "T": (4, _integer, "BCD sweep count"),
+    "r": (None, lambda v: None if v is None else _integer(v),
+          "LRD truncation rank (default: the interferer count)"),
+    "ncoh": (480, _integer, "payload symbols per coherence block"),
+    "iot": (10.0, _real, "interference-over-thermal in dB"),
+    "channel": ("rayleigh", _exact(str), "channel model: " + ", ".join(CHANNEL_MODELS)),
+    "out": ("results.csv", _exact(str), "output CSV path"),
+    "algorithms": (("lmmse", "bdac", "sdr", "cdr", "bcd"), _list_of(_exact(str)),
+                   "comma list: " + ",".join(ALGORITHMS)),
+    "snr": ((0.0, 5.0, 10.0, 15.0, 20.0), _list_of(_real), "comma list of SNR points in dB"),
+    "trials": (50, _integer, "Monte-Carlo trials per point"),
+    "workers": (1, _integer, "worker processes (also capped by DBP_EQ_THREADS)"),
+    "modulation": ("qam16", _exact(str), "constellation: " + ", ".join(MODULATIONS)),
+    "timing": (False, _exact(bool), "record wallclock (breaks byte-identical output)"),
 }
-
-# what bad settings raise on their way to a RunSpec (ConfigError is a ValueError)
-_SETTINGS_ERRORS = (OSError, TypeError, ValueError)
+# the settings that `bandwidth` takes; `run` takes them all
+_BANDWIDTH_KEYS = ("seed", "M", "K", "C", "N", "T", "r", "ncoh", "iot", "channel")
 
 
 def _fail_config(msg: str) -> int:
@@ -45,74 +100,43 @@ def _fail_config(msg: str) -> int:
     return 2
 
 
-def _load_config(path: Optional[str]) -> dict:
-    cfg = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ConfigError("config file must contain a JSON object")
-        for key, value in data.items():
-            if key not in _DEFAULTS:
-                raise ConfigError(f"unknown config key: {key!r}")
-            cfg[key] = value
-    return cfg
-
-
-def _parse_snr(text) -> tuple[float, ...]:
-    try:
-        if isinstance(text, (list, tuple)):
-            return tuple(float(x) for x in text)
-        return tuple(float(x) for x in str(text).split(","))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad snr value: {text!r}") from exc
-
-
-def _parse_algorithms(text: str) -> tuple[str, ...]:
-    names = tuple(x.strip() for x in str(text).split(",") if x.strip())
-    for name in names:
-        if name not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
-    return names
-
-
 def _merged_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
-    settings.update(_load_config(args.config))
-    for key in _DEFAULTS:
-        override = getattr(args, key, None)
-        if override is not None:
-            settings[key] = override
+    """The defaults, then the config file, then the flags, each value parsed."""
+    given = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            given = json.load(fh)
+        if not isinstance(given, dict):
+            raise ConfigError("config file must contain a JSON object")
+    given.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+    settings = {key: default for key, (default, _, _) in SETTINGS.items()}
+    for key, value in given.items():
+        if key not in SETTINGS:
+            raise ConfigError(f"unknown config key: {key!r}")
+        try:
+            settings[key] = SETTINGS[key][1](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} value {value!r}: {exc}") from exc
     return settings
 
 
 def _build_spec(settings: dict, names: Sequence[str] = ()) -> RunSpec:
     """The RunSpec of ``settings``; ``names`` replaces their algorithm list."""
-    cfg = SystemConfig(
-        M=int(settings["M"]), K=int(settings["K"]), C=int(settings["C"]),
-        N=int(settings["N"]), iot_db=float(settings["iot"]),
-        n_coh=int(settings["ncoh"]), modulation=str(settings["modulation"]),
-        channel_model=str(settings["channel"]), seed=int(settings["seed"]),
-    )
-    r = settings["r"]
-    algos = tuple(
-        default_algo(name, cfg, T=int(settings["T"]),
-                     r=int(r) if r is not None else None)
-        for name in names or _parse_algorithms(settings["algorithms"])
-    )
-    return RunSpec(
-        cfg=cfg, algorithms=algos, snr_grid=_parse_snr(settings["snr"]),
-        trials=int(settings["trials"]), out_path=str(settings["out"]),
-        timing=bool(settings["timing"]), workers=int(settings["workers"]),
-    )
+    cfg = SystemConfig(M=settings["M"], K=settings["K"], C=settings["C"], N=settings["N"],
+                       iot_db=settings["iot"], n_coh=settings["ncoh"], seed=settings["seed"],
+                       modulation=settings["modulation"], channel_model=settings["channel"])
+    algos = tuple(default_algo(name, cfg, T=settings["T"], r=settings["r"])
+                  for name in names or settings["algorithms"])
+    return RunSpec(cfg=cfg, algorithms=algos, snr_grid=settings["snr"],
+                   trials=settings["trials"], out_path=settings["out"],
+                   timing=settings["timing"], workers=settings["workers"])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         settings = _merged_settings(args)
         spec = _build_spec(settings)
-    except _SETTINGS_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail_config(str(exc))
 
     # the sweep runs first, so a config error it raises leaves no file behind
@@ -122,7 +146,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail_config(str(exc))
 
     if args.dump_config:
-        dump = {k: settings[k] for k in sorted(_DEFAULTS) if settings[k] is not None}
+        dump = {k: v for k, v in settings.items() if v is not None}
         with open(args.dump_config, "w", encoding="utf-8") as fh:
             json.dump(dump, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -161,7 +185,7 @@ def _dump_messages(spec: RunSpec, path: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_checks(args.filter, tamper_ledger=args.tamper_ledger)
+    results = verify.run_checks(args.filter)
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return 1
@@ -181,7 +205,7 @@ def cmd_bandwidth(args: argparse.Namespace) -> int:
     try:
         settings = _merged_settings(args)
         spec = _build_spec(settings, names=ALGORITHMS)
-    except _SETTINGS_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail_config(str(exc))
 
     cfg = spec.cfg
@@ -216,19 +240,15 @@ def cmd_bandwidth(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
+def _add_settings_flags(p: argparse.ArgumentParser, keys: Sequence[str]) -> None:
+    """The --config flag and one flag per setting; values stay strings until parsed."""
     p.add_argument("--config", help="JSON config file with flat keys")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--M", type=int, help="number of BS antennas")
-    p.add_argument("--K", type=int, help="number of users")
-    p.add_argument("--C", type=int, help="number of antenna clusters / DUs")
-    p.add_argument("--N", type=int, help="training samples per coherence block")
-    p.add_argument("--T", type=int, help="BCD sweep count")
-    p.add_argument("--r", type=int, help="LRD truncation rank")
-    p.add_argument("--ncoh", type=int, help="payload symbols per coherence block")
-    p.add_argument("--iot", type=float, help="interference-over-thermal in dB")
-    p.add_argument("--channel", choices=("rayleigh", "one_ring"),
-                   help="channel model")
+    for key in keys:
+        _, _, text = SETTINGS[key]
+        if key == "timing":
+            p.add_argument("--timing", action="store_const", const=True, help=text)
+        else:
+            p.add_argument(f"--{key}", help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,19 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a Monte-Carlo SER sweep")
-    _add_param_flags(p_run)
-    p_run.add_argument("--out", help="output CSV path")
-    p_run.add_argument("--algorithms",
-                       help="comma list: " + ",".join(ALGORITHMS))
-    p_run.add_argument("--snr", help="comma list of SNR points in dB")
-    p_run.add_argument("--trials", type=int, help="Monte-Carlo trials per point")
-    p_run.add_argument("--workers", type=int,
-                       help="worker processes (also capped by DBP_EQ_THREADS)")
-    p_run.add_argument("--modulation", choices=("qam16", "qpsk"),
-                       help="constellation")
-    p_run.add_argument("--timing", action="store_const", const=True,
-                       default=None,
-                       help="record wallclock (breaks byte-identical output)")
+    _add_settings_flags(p_run, SETTINGS)
     p_run.add_argument("--dump-config", metavar="PATH",
                        help="write the fully-resolved config as JSON")
     p_run.add_argument("--dump-messages", metavar="PATH",
@@ -261,13 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run headless property checks")
     p_verify.add_argument("--filter", help="only run checks whose name "
                                            "contains this substring")
-    p_verify.add_argument("--tamper-ledger", action="store_true",
-                          help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bw = sub.add_parser("bandwidth",
                           help="closed-form vs simulated bandwidth table")
-    _add_param_flags(p_bw)
+    _add_settings_flags(p_bw, _BANDWIDTH_KEYS)
     p_bw.set_defaults(func=cmd_bandwidth)
     return parser
 

@@ -348,8 +348,7 @@ def run_bdac(fabric: Fabric, es: float) -> tuple[eq.EqualizerResult, np.ndarray]
             wc = hpd_solve(atot, du.cache["Q"])
             du.cache["W"] = wc
         blocks.append(wc)
-    w = np.hstack(blocks)
-    return (eq.EqualizerResult(W=w, blocks=tuple(blocks), algorithm="bdac"),
+    return (eq.EqualizerResult(W=np.hstack(blocks), algorithm="bdac"),
             accumulate_symbols(fabric))
 
 
@@ -449,7 +448,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     for c, w in zip(ring, wb):
         fabric.du(c).cache["W"] = w
 
-    return (eq.EqualizerResult(W=np.hstack(wb), blocks=tuple(wb),
+    return (eq.EqualizerResult(W=np.hstack(wb),
                                algorithm="bcd" if r is None else "bcd-lrd",
                                iterations=n_sweeps),
             accumulate_symbols(fabric))

@@ -39,28 +39,11 @@ from .scenario import sample_covariance
 
 @dataclass(frozen=True)
 class EqualizerResult:
-    """A K x M equalization matrix with its per-cluster blocks."""
+    """A K x M equalization matrix and the BCD sweeps that produced it."""
 
     W: np.ndarray
-    blocks: tuple[np.ndarray, ...]
     algorithm: str
     iterations: int = 0
-
-
-def _split_cols(w: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
-    out, ofs = [], 0
-    for m in sizes:
-        out.append(w[:, ofs : ofs + m])
-        ofs += m
-    return tuple(out)
-
-
-def _result(w: np.ndarray, algorithm: str, sizes: Optional[Sequence[int]] = None,
-            iterations: int = 0) -> EqualizerResult:
-    if sizes is None:
-        sizes = (w.shape[1],)
-    return EqualizerResult(W=w, blocks=_split_cols(w, sizes),
-                           algorithm=algorithm, iterations=iterations)
 
 
 def scaled_samples(noise: np.ndarray) -> np.ndarray:
@@ -72,21 +55,20 @@ def scaled_samples(noise: np.ndarray) -> np.ndarray:
 # Centralized closed forms
 # ---------------------------------------------------------------------------
 
-def lmmse_centralized(h: np.ndarray, rhat: np.ndarray, es: float,
-                      sizes: Optional[Sequence[int]] = None) -> EqualizerResult:
+def lmmse_centralized(h: np.ndarray, rhat: np.ndarray, es: float) -> EqualizerResult:
     """W = (H^H R^-1 H + I/Es)^-1 H^H R^-1, via two HPD solves."""
     k = h.shape[1]
     rinv_h = hpd_solve(rhat, h)                      # R^-1 H
     gram = hermitize(h.conj().T @ rinv_h) + np.eye(k) / es
     w = hpd_solve(gram, rinv_h.conj().T)
-    return _result(w, "lmmse", sizes)
+    return EqualizerResult(w, "lmmse")
 
 
-def zf_centralized(h: np.ndarray, sizes: Optional[Sequence[int]] = None) -> EqualizerResult:
+def zf_centralized(h: np.ndarray) -> EqualizerResult:
     """W = (H^H H)^-1 H^H; raises NotPositiveDefinite if H is rank-deficient."""
     gram = hermitize(h.conj().T @ h)
     w = hpd_solve(gram, h.conj().T)
-    return _result(w, "zf", sizes)
+    return EqualizerResult(w, "zf")
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +87,7 @@ def bdac_mmse(h_blocks: Sequence[np.ndarray], r_blocks: Sequence[np.ndarray],
     qs = [local_compression(hc, rc) for hc, rc in zip(h_blocks, r_blocks)]
     gram = sum(q @ hc for q, hc in zip(qs, h_blocks))
     atot = hermitize(gram) + np.eye(k) / es
-    blocks = [hpd_solve(atot, q) for q in qs]
-    w = np.hstack(blocks)
-    return _result(w, "bdac", [hc.shape[0] for hc in h_blocks])
+    return EqualizerResult(np.hstack([hpd_solve(atot, q) for q in qs]), "bdac")
 
 
 def compress_cluster(h_c: np.ndarray, y_c: np.ndarray, noise_c: np.ndarray
@@ -124,7 +104,7 @@ def _compress_blocks(h_blocks, y_blocks, noise_blocks):
 
 def _compressed_lmmse(h_eff, r_eff, y_eff, es, tag):
     w = lmmse_centralized(h_eff, r_eff, es).W
-    return _result(w, tag), w @ y_eff
+    return EqualizerResult(w, tag), w @ y_eff
 
 
 def dr_combine(qh, qn, qy, es: float, concatenate: bool):
@@ -388,8 +368,7 @@ def bdac_state(h_blocks, noise_blocks, sample_blocks, es: float
 
 def bcd_init_bdac(h_blocks, noise_blocks, es: float) -> list[np.ndarray]:
     """BDAC blocks from locally estimated R_cc, the standard BCD start."""
-    r_blocks = [sample_covariance(nc) for nc in noise_blocks]
-    return list(bdac_mmse(h_blocks, r_blocks, es).blocks)
+    return bdac_state(h_blocks, noise_blocks, [scaled_samples(nc) for nc in noise_blocks], es)[0]
 
 
 def bcd_solve(h_blocks, noise_blocks, es: float, sweeps: Optional[int] = None,
@@ -411,7 +390,7 @@ def bcd_solve(h_blocks, noise_blocks, es: float, sweeps: Optional[int] = None,
     factors = [BcdBlockFactor(hc, sc, es, newton=tol is not None)
                for hc, sc in zip(h_blocks, sample_blocks)]
     n_sweeps = bcd_iterate(factors, wb, np.hstack([a, b]), sweeps, tol, max_sweeps)
-    return _result(np.hstack(wb), "bcd", [hc.shape[0] for hc in h_blocks], n_sweeps)
+    return EqualizerResult(np.hstack(wb), "bcd", n_sweeps)
 
 
 # ---------------------------------------------------------------------------

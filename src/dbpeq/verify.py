@@ -171,7 +171,7 @@ def check_lrd() -> CheckResult:
                        f"max residual ratio = {max(ratios):.4f}")
 
 
-def check_ledger_formulas(tamper: bool = False) -> CheckResult:
+def check_ledger_formulas() -> CheckResult:
     grid = [
         dict(M=32, K=4, C=4, N=64, n_coh=480, T=2, r=4),
         dict(M=16, K=2, C=2, N=24, n_coh=100, T=1, r=2),
@@ -186,8 +186,6 @@ def check_ledger_formulas(tamper: bool = False) -> CheckResult:
             _, fab = dbpnet.run_cell(algo, rz, block.Y, cfg)
             got = fab.ledger.per_symbol_average()
             want = row.entries(cfg, algo)
-            if tamper:
-                got += 1
             if got != want:
                 return CheckResult("ledger-formulas", False,
                                    f"{name} ledger {got} != formula {want} at {g}")
@@ -227,14 +225,6 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
 }
 
 
-def run_checks(name_filter: Optional[str] = None,
-               tamper_ledger: bool = False) -> list[CheckResult]:
-    results = []
-    for name, fn in CHECKS.items():
-        if name_filter and name_filter not in name:
-            continue
-        if name == "ledger-formulas":
-            results.append(check_ledger_formulas(tamper=tamper_ledger))
-        else:
-            results.append(fn())
-    return results
+def run_checks(name_filter: Optional[str] = None) -> list[CheckResult]:
+    return [fn() for name, fn in CHECKS.items()
+            if not name_filter or name_filter in name]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dbpeq import cli
+from dbpeq import cli, dbpnet
 
 
 def _run(argv):
@@ -14,6 +14,9 @@ def _run(argv):
 
 BASE = ["--M", "16", "--K", "4", "--C", "4", "--N", "64",
         "--ncoh", "48", "--trials", "2", "--snr", "10"]
+# a one-trial lmmse run, as a config and as flags
+DESK = {"M": 16, "ncoh": 48, "trials": 1, "snr": "10", "algorithms": "lmmse"}
+DESK_FLAGS = ["--M", "16", "--ncoh", "48", "--trials", "1", "--algorithms", "lmmse"]
 
 
 class TestHelp:
@@ -32,6 +35,14 @@ class TestHelp:
                      "--trials", "--channel", "--dump-messages",
                      "--dump-config", "--iot"):
             assert flag in text
+        # bandwidth takes the scenario settings, not the sweep's
+        with pytest.raises(SystemExit) as exc:
+            _run(["bandwidth", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for key in ("seed", "M", "K", "C", "N", "T", "r", "ncoh", "iot", "channel"):
+            assert f"--{key} " in text
+        assert "--out" not in text and "--trials" not in text
 
 
 class TestRun:
@@ -168,6 +179,14 @@ class TestRun:
         pytest.param([], {"snr": []}, id="empty-snr-grid"),
         pytest.param([], {"M": "x"}, id="wrong-type"),
         pytest.param([], {"K": None}, id="null"),
+        # each of these ran a sweep (exit 0) while the CLI typed a setting twice
+        pytest.param([*DESK_FLAGS, "--snr", "nan"], None, id="snr-nan"),
+        pytest.param([*DESK_FLAGS, "--iot", "nan"], None, id="iot-nan"),
+        pytest.param([], {**DESK, "iot": "inf"}, id="config-iot-inf"),
+        pytest.param([], {**DESK, "timing": "false"}, id="timing-string"),
+        pytest.param([], {**DESK, "M": 16.9}, id="fractional-M"),
+        pytest.param([], {**DESK, "trials": 1.5}, id="fractional-trials"),
+        pytest.param([], {**DESK, "seed": True}, id="boolean-seed"),
     ])
     def test_bad_sweep_settings_exit_2(self, tmp_path, capsys, flags, config):
         argv = ["run", *flags, "--out", str(tmp_path / "r.csv")]
@@ -206,8 +225,11 @@ class TestVerify:
     def test_no_match_is_failure(self):
         assert _run(["verify", "--filter", "zzz"]) == 1
 
-    def test_tampered_ledger_fails(self, capsys):
-        code = _run(["verify", "--filter", "ledger", "--tamper-ledger"])
+    def test_tampered_ledger_fails(self, monkeypatch, capsys):
+        # the rows look the formula up by its module-level name
+        formula = dbpnet.formula_centralized
+        monkeypatch.setattr(dbpnet, "formula_centralized", lambda *a: formula(*a) + 1)
+        code = _run(["verify", "--filter", "ledger"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -241,8 +263,11 @@ class TestBandwidth:
         assert _run(["bandwidth", "--channel", "one_ring", "--iot", "3"]) == 0
         assert [(c.channel_model, c.iot_db) for c in seen] == [("one_ring", 3.0)]
 
-    def test_bad_params_exit_2(self):
+    def test_bad_params_exit_2(self, tmp_path, capsys):
         assert _run(["bandwidth", "--M", "4", "--K", "8"]) == 2
+        (tmp_path / "c.json").write_text(json.dumps({"M": 16.9}))
+        assert _run(["bandwidth", "--config", str(tmp_path / "c.json")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--T", "-1"], ["--r", "0"]])
     def test_bad_sweep_count_or_rank_exit_2(self, capsys, flags):

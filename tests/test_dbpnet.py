@@ -205,7 +205,7 @@ class TestMessages:
             for p1, p2 in zip(sent, sent[1:]):
                 assert not np.shares_memory(p1, p2)
         last_a = [m.payload for m in fab.log if m.kind == "bcd_a"][-1]
-        a_final = sum(wc @ fab.du(c).H for c, wc in enumerate(res.blocks, 1))
+        a_final = sum(fab.du(c).cache["W"] @ fab.du(c).H for c in range(1, fab.C + 1))
         np.testing.assert_allclose(last_a, a_final, atol=1e-10)
 
 

@@ -44,14 +44,6 @@ class TestCentralized:
             np.testing.assert_allclose(w, _oracle_lmmse(rz.H, rhat, 1.0),
                                        atol=1e-10)
 
-    def test_lmmse_blocks_partition_w(self):
-        rz = gen_realization(_cfg(), 0)
-        rhat = sample_covariance(rz.noise)
-        res = eq.lmmse_centralized(rz.H, rhat, 1.0,
-                                   sizes=rz.partition.sizes)
-        np.testing.assert_array_equal(np.hstack(res.blocks), res.W)
-        assert res.blocks[0].shape == (4, 4)
-
     def test_zf_is_pseudoinverse(self):
         rz = gen_realization(_cfg(), 0)
         w = eq.zf_centralized(rz.H).W
