@@ -224,6 +224,20 @@ def bcd_block_update(h_c: np.ndarray, samples_c: np.ndarray, a_prev: np.ndarray,
     return hpd_solve(gram, num.conj().T).conj().T
 
 
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The 2r x 2c float64 R with (v @ m).view(float64) == v.view(float64) @ R.
+
+    v is any complex row block with r columns; entry (j, k) of m becomes
+    the 2 x 2 block [[re, im], [-im, re]] that acts on the interleaved
+    (re, im) pairs of v.
+    """
+    r = np.empty((2 * m.shape[0], 2 * m.shape[1]))
+    r[0::2, 0::2] = r[1::2, 1::2] = m.real
+    r[0::2, 1::2] = m.imag
+    r[1::2, 0::2] = -m.imag
+    return r
+
+
 class BcdBlockFactor:
     """Per-block quantities reused across every BCD sweep.
 
@@ -231,9 +245,10 @@ class BcdBlockFactor:
     block Gram G_c. The fixed-sweep kernel :func:`bcd_sweep_step` uses
     the factor and the Es-weighted conjugate transposes. With
     ``newton=True`` the factor also holds the operators of the
-    converge-mode kernel :func:`bcd_newton_step`: X_c = [H_c | S_c] and
-    P_c = [Es H_c^H ; S_c^H] G_c^-1, with ``p_top`` = P_c[:K] =
-    Es H_c^H G_c^-1.
+    converge-mode kernel :func:`bcd_newton_step`, in real form (see
+    :func:`_real_form`): ``x`` of X_c = [H_c | S_c] and ``p`` of
+    P_c = [Es H_c^H ; S_c^H] G_c^-1, and ``p_top``, the float64 view of
+    P_c[:K] = Es H_c^H G_c^-1.
     """
 
     __slots__ = ("h", "s", "hh_es", "sh", "chol", "lower", "x", "p", "p_top")
@@ -247,10 +262,11 @@ class BcdBlockFactor:
         cf = hpd_factor(bcd_block_gram(h_c, samples_c, es))
         self.chol, self.lower = cf
         if newton:
-            self.x = np.hstack([h_c, samples_c])
+            self.x = _real_form(np.hstack([h_c, samples_c]))
             # G_c is Hermitian, so P_c = (G_c^-1 [Es H_c | S_c])^H
-            self.p = hpd_factor_solve(cf, np.hstack([es * h_c, samples_c])).conj().T
-            self.p_top = self.p[:h_c.shape[1]]
+            p = hpd_factor_solve(cf, np.hstack([es * h_c, samples_c])).conj().T
+            self.p = _real_form(p)
+            self.p_top = np.ascontiguousarray(p[:h_c.shape[1]]).view(np.float64)
 
 
 def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
@@ -274,18 +290,18 @@ def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
 
 def bcd_newton_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Converge-mode block update on the fused state Z = [A | B].
+    """Converge-mode block update on the fused state Z = [A | B], in real form.
 
-    Algebraically the same minimizer as :func:`bcd_sweep_step`: since
+    ``z`` and ``w_c`` are the interleaved float64 views of the complex
+    Z and W_c (``np.ascontiguousarray(a).view(np.float64)``). Since
     X_c P_c = I, the new block is W_c + D with D = P_c[:K] - Z P_c, and
-    the accumulators move by D X_c. Two small matmuls replace the
-    six-matmul-plus-solve sequence, so rounding differs from the
-    fixed-sweep kernel in the last bits. ``block`` must be built with
-    ``newton=True``. Returns (W_c new, Z new, D); Z is a new array,
-    never the input updated in place.
+    the accumulators move by D X_c: two real products on the views of
+    ``block`` (built with ``newton=True``) replace the fixed-sweep
+    kernel's six complex products and solve, so rounding differs from
+    :func:`bcd_sweep_step` in the last bits. Returns the float64 views
+    (W_c new, Z new, D); ``.view(np.complex128)`` reads each back as
+    complex. Z is a new array, never the input updated in place.
     """
-    # ndarray.dot skips the matmul ufunc dispatch, a large share of the
-    # cost of a product this small
     d = block.p_top - z.dot(block.p)
     return w_c + d, z + d.dot(block.x), d
 
@@ -302,10 +318,14 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     :func:`bcd_sweep_step`. Giving both, ``sweeps < 0``, ``tol <= 0`` or
     ``max_sweeps < 1`` raises ValueError.
 
-    ``wb`` holds the W blocks and is updated in place; ``z`` is the
-    starting [A | B]. Block i steps inside ``scopes[i]`` if given, then
-    ``after(t, i, z)`` sees the state after that step of sweep t.
-    Returns the number of sweeps run.
+    ``wb`` holds the complex W blocks and is updated in place; ``z`` is
+    the starting complex [A | B]. Converge mode steps on float64 views
+    of both, taken once on entry (``wb`` holds those views until it
+    returns complex128 blocks on exit), and its stopping sums are the
+    real ``np.vdot`` of the views, the same squared norms. Block i
+    steps inside ``scopes[i]`` if given, then ``after(t, i, z)`` sees
+    the complex128 state after that step of sweep t. Returns the number
+    of sweeps run.
     """
     if sweeps is not None and tol is not None:
         raise ValueError("give sweeps or tol, not both")
@@ -317,7 +337,11 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     limit = max_sweeps if converge else 4 if sweeps is None else sweeps
     # looked up per call, so a replaced module attribute is honored
     step = bcd_newton_step if converge else bcd_sweep_step
+    if converge:
+        z = np.ascontiguousarray(z).view(np.float64)
+        wb[:] = [np.ascontiguousarray(w).view(np.float64) for w in wb]
     vdot = np.vdot
+    ran = limit
     for t in range(limit):
         change = 0.0
         scale = 0.0
@@ -329,13 +353,16 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
                     w, z, d = step(factor, z, wb[i])
             wb[i] = w
             if after is not None:
-                after(t, i, z)
+                after(t, i, z.view(np.complex128))
             if converge:
-                change += vdot(d, d).real
-                scale += vdot(w, w).real
+                change += vdot(d, d)
+                scale += vdot(w, w)
         if converge and change <= (tol ** 2) * max(scale, 1e-300):
-            return t + 1
-    return limit
+            ran = t + 1
+            break
+    if converge:
+        wb[:] = [w.view(np.complex128) for w in wb]
+    return ran
 
 
 def bcd_block_update_raw(h_c: np.ndarray, noise_c: np.ndarray, a_prev: np.ndarray,

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import zpotrf as _zpotrf, zpotrs as _zpotrs
 
 HERM_TOL = 1e-10
 RIDGE_EPS = 1e-12
@@ -92,9 +92,8 @@ def hpd_factor(a: np.ndarray):
     if asym > HERM_TOL * max(1.0, frob_norm(a)):
         raise NotHermitian(f"asymmetry {asym:.3e} beyond tolerance")
     ah = hermitize(a)
-    try:
-        return sla.cho_factor(ah, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    chol, info = _zpotrf(ah, lower=1, clean=0)
+    if info > 0:
         _ridge_retries += 1
         ridge = RIDGE_EPS * np.trace(ah).real / n
         warnings.warn(
@@ -102,15 +101,15 @@ def hpd_factor(a: np.ndarray):
             RuntimeWarning,
             stacklevel=2,
         )
-        try:
-            return sla.cho_factor(
-                ah + ridge * np.eye(n), lower=True, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
+        chol, info = _zpotrf(ah + ridge * np.eye(n), lower=1, clean=0)
+        if info > 0:
             raise NotPositiveDefinite(
                 "factorization pivot <= 0 even after ridge; "
                 "degenerate covariance"
-            ) from exc
+            )
+    if info < 0:
+        raise NumericsError(f"zpotrf rejected argument {-info}")
+    return chol, True
 
 
 def hpd_factor_solve(cf, b: np.ndarray) -> np.ndarray:
@@ -118,7 +117,10 @@ def hpd_factor_solve(cf, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     if b.shape[0] != cf[0].shape[0]:
         raise ShapeMismatch(f"rhs rows {b.shape[0]} != matrix size {cf[0].shape[0]}")
-    return sla.cho_solve(cf, b, check_finite=False)
+    x, info = _zpotrs(cf[0], b, lower=cf[1])
+    if info < 0:
+        raise NumericsError(f"zpotrs rejected argument {-info}")
+    return x
 
 
 def hpd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,18 +142,24 @@ class SvdResult:
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Phase convention: first nonzero entry of each left singular vector
-    # has nonnegative real part, so results are deterministic.
+    # has nonnegative real part, so results are deterministic. A column
+    # with no entry above the threshold is left as it is.
     u = u.copy()
     v = v.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        phase = pivot / abs(pivot)
-        u[:, j] *= phase.conjugate()
-        v[:, j] *= phase.conjugate()
+    if not u.size:
+        return u, v
+    mag = np.abs(u)
+    significant = mag > 1e-12 * np.maximum(1.0, mag.max(axis=0))
+    cols = np.flatnonzero(significant.any(axis=0))
+    pivot = u[significant[:, cols].argmax(axis=0), cols]
+    # np.hypot rounds like the scalar abs() this convention was fixed with
+    phase = (pivot / np.hypot(pivot.real, pivot.imag)).conjugate()
+    # one column at a time: numpy rounds a one-element complex product
+    # (a one-row u) without FMA, a longer one with it, so a whole-matrix
+    # product would change the bits of short columns
+    for j, ph in zip(cols.tolist(), phase.tolist()):
+        u[:, j] *= ph
+        v[:, j] *= ph
     return u, v
 
 

@@ -6,6 +6,11 @@ from dbpeq import equalizers as eq
 from dbpeq.scenario import SystemConfig, gen_realization, sample_covariance
 
 
+def _real(a):
+    """The interleaved float64 view that the converge-mode kernel steps on."""
+    return np.ascontiguousarray(a).view(float)
+
+
 def _cfg(**kw):
     base = dict(M=32, K=4, C=4, N=64, snr_db=10.0, iot_db=10.0, seed=21)
     base.update(kw)
@@ -82,7 +87,9 @@ class TestBlockUpdate:
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
         blk = eq.BcdBlockFactor(hb[0], sb[0], 1.0, newton=True)
-        w_new, z, d = eq.bcd_newton_step(blk, np.hstack([a, b]), wb[0])
+        # the kernel steps on the float64 views and returns them
+        w_new, z, d = (v.view(complex) for v in eq.bcd_newton_step(
+            blk, _real(np.hstack([a, b])), _real(wb[0])))
         w_ref = eq.bcd_block_update(hb[0], sb[0], a, b, wb[0], 1.0)
         np.testing.assert_allclose(w_new, w_ref, atol=1e-12)
         np.testing.assert_allclose(d, w_new - wb[0], atol=1e-12)
@@ -125,11 +132,12 @@ class TestDescent:
             wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
             blocks = [eq.BcdBlockFactor(h, s, 1.0, newton=True)
                       for h, s in zip(hb, sb)]
-            z = np.hstack([a, b])
+            z = _real(np.hstack([a, b]))
             prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
             for _ in range(4):
                 for c in range(4):
-                    wb[c], z, _ = eq.bcd_newton_step(blocks[c], z, wb[c])
+                    w, z, _ = eq.bcd_newton_step(blocks[c], z, _real(wb[c]))
+                    wb[c] = w.view(complex)
                     obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
                     if obj > prev + 1e-12:
                         violations += 1

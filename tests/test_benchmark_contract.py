@@ -88,3 +88,22 @@ def test_every_cell_builds_its_fabric_through_make_fabric(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [ln.split()[0] for ln in rows if not ln.startswith("note:")] == list(names)
     assert kinds == want
+
+
+def test_tol_sweep_solves_once_per_cell(monkeypatch):
+    # SolveProbe records one tolerance-mode run_bcd_daisy call per bcd-conv
+    # cell, and the benchmark's checks count cells by those calls
+    tols = []
+    run_bcd_daisy = dbpeq.dbpnet.run_bcd_daisy
+    sig = inspect.signature(run_bcd_daisy)
+
+    def counting(*args, **kwargs):
+        tols.append(sig.bind(*args, **kwargs).arguments.get("tol"))
+        return run_bcd_daisy(*args, **kwargs)
+
+    monkeypatch.setattr(dbpeq.dbpnet, "run_bcd_daisy", counting)
+    cfg = dbpeq.SystemConfig(M=16, K=4, C=4, N=64, n_coh=48, seed=3)
+    dbpeq.bench.run_sweep(dbpeq.bench.RunSpec(
+        cfg=cfg, algorithms=(dbpeq.bench.AlgoSpec("bcd", tol=1e-3),),
+        snr_grid=(0.0, 10.0), trials=2))
+    assert tols == [1e-3] * 4

@@ -199,11 +199,17 @@ class TestMessages:
         # with a buffer that a later step writes
         fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
         res, _ = dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-8)
-        for kind in ("bcd_a", "bcd_b"):
+        k, n = res.W.shape[0], fab.du(1).samples.shape[1]
+        for kind, shape in (("bcd_a", (k, k)), ("bcd_b", (k, n))):
             sent = [m.payload for m in fab.log if m.kind == kind]
             assert len(sent) == 4 * res.iterations
+            # the kernel steps on float64 views; one leaking into send
+            # would count every entry twice
+            assert all(p.dtype == np.complex128 and p.shape == shape for p in sent)
             for p1, p2 in zip(sent, sent[1:]):
                 assert not np.shares_memory(p1, p2)
+        for c in range(1, fab.C + 1):
+            assert fab.du(c).cache["W"].dtype == np.complex128
         last_a = [m.payload for m in fab.log if m.kind == "bcd_a"][-1]
         a_final = sum(fab.du(c).cache["W"] @ fab.du(c).H for c in range(1, fab.C + 1))
         np.testing.assert_allclose(last_a, a_final, atol=1e-10)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from dbpeq import numerics
 
@@ -62,6 +63,16 @@ class TestHpdSolve:
         np.testing.assert_array_equal(numerics.hpd_factor_solve(cf, b),
                                       numerics.hpd_solve(a, b))
 
+    def test_factor_and_solve_match_scipy(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 4, 8, 32):
+            a = numerics.hermitize(_rand_hpd(rng, n))
+            b = _rand_complex(rng, (n, 3))
+            cf, ref = numerics.hpd_factor(a), sla.cho_factor(a, lower=True)
+            np.testing.assert_array_equal(cf[0], ref[0])
+            np.testing.assert_array_equal(numerics.hpd_factor_solve(cf, b),
+                                          sla.cho_solve(ref, b))
+
     def test_rejects_non_hermitian(self):
         rng = np.random.default_rng(5)
         a = _rand_complex(rng, (4, 4))
@@ -120,6 +131,31 @@ class TestSvd:
             col = d1.U[:, j]
             lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert abs(lead.imag) < 1e-12 and lead.real >= 0
+
+    def test_fix_signs_matches_column_loop(self):
+        def reference(u, v):
+            # the convention as first written, one column at a time
+            u, v = u.copy(), v.copy()
+            for j in range(u.shape[1]):
+                col = u[:, j]
+                nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
+                if nz.size == 0:
+                    continue
+                phase = col[nz[0]] / abs(col[nz[0]])
+                u[:, j] *= phase.conjugate()
+                v[:, j] *= phase.conjugate()
+            return u, v
+
+        rng = np.random.default_rng(12)
+        for m, n, k in [(1, 6, 4), (6, 1, 4), (5, 8, 5), (32, 64, 16), (3, 3, 1)]:
+            for _ in range(20):
+                u = _rand_complex(rng, (m, k)) * 10.0 ** rng.uniform(-14, 2, k)
+                v = _rand_complex(rng, (n, k))
+                u[:rng.integers(m + 1), rng.integers(k)] = 0   # leading zeros
+                if k > 1:
+                    u[:, rng.integers(k)] = 0                  # a zero column
+                for got, want in zip(numerics._fix_signs(u, v), reference(u, v)):
+                    np.testing.assert_array_equal(got, want)
 
     def test_truncated_svd_error_is_optimal(self):
         # Frobenius error of the rank-r truncation equals the tail
