@@ -44,9 +44,10 @@ class InsufficientErrors(ValueError):
 class AlgoSpec:
     """One algorithm to benchmark, with its iteration/rank parameters.
 
-    BCD runs ``T`` sweeps, or converges to ``tol``, or runs 4 sweeps if
-    neither is given; bcd-lrd needs its rank ``r``. Invalid or missing
-    values raise ConfigError.
+    Only the settings its ``dbpnet.ALGORITHMS`` row names in ``params``
+    may be set. BCD runs ``T`` sweeps, or converges to ``tol``, or runs 4
+    sweeps if neither is given; bcd-lrd needs its rank ``r``. Invalid,
+    missing or unused values raise ConfigError.
     """
 
     name: str
@@ -59,6 +60,10 @@ class AlgoSpec:
         if self.name not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {self.name!r}; choose from {', '.join(ALGORITHMS)}")
+        takes = dbpnet.ALGORITHMS[self.name].params
+        unused = [p for p in ("T", "tol", "r") if getattr(self, p) is not None and p not in takes]
+        if unused:
+            raise ConfigError(f"{self.name} does not take {unused}; it takes {list(takes)}")
         if self.T is not None and self.tol is not None:
             raise ConfigError("give a BCD sweep count T or a tolerance tol, not both")
         if self.T is not None and self.T < 0:
@@ -67,7 +72,7 @@ class AlgoSpec:
             raise ConfigError(f"BCD tolerance must be > 0, got {self.tol}")
         if self.r is not None and self.r < 1:
             raise ConfigError(f"LRD rank r must be >= 1, got {self.r}")
-        if self.r is None and "r" in dbpnet.ALGORITHMS[self.name].params:
+        if self.r is None and "r" in takes:
             raise ConfigError(f"{self.name} needs an LRD rank r")
         if not self.label:
             object.__setattr__(self, "label", self.name)
@@ -129,11 +134,6 @@ def _run_trial(spec: RunSpec, trial: int) -> dict:
     return out
 
 
-def _worker(args):
-    spec, trial = args
-    return trial, _run_trial(spec, trial)
-
-
 def _worker_count(spec: RunSpec) -> int:
     n = spec.workers
     cap = os.environ.get("DBP_EQ_THREADS")
@@ -179,19 +179,19 @@ def _fmt(v) -> str:
 def run_sweep(spec: RunSpec) -> SerReport:
     """Execute the Monte-Carlo sweep; deterministic for a fixed cfg.seed."""
     workers = _worker_count(spec)
-    trials = list(range(spec.trials))
+    args = ([spec] * spec.trials, range(spec.trials))
     if workers <= 1:
-        per_trial = [(t, _run_trial(spec, t)) for t in trials]
+        per_trial = list(map(_run_trial, *args))
     else:
+        # Executor.map yields in submission order, so trial order is fixed
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_worker, [(spec, t) for t in trials]))
-    per_trial.sort(key=lambda x: x[0])
+            per_trial = list(pool.map(_run_trial, *args))
 
     report = SerReport()
     cfg = spec.cfg
     for algo in spec.algorithms:
         for snr in spec.snr_grid:
-            cells = [res[(algo.label, snr)] for _, res in per_trial]
+            cells = [res[(algo.label, snr)] for res in per_trial]
             base = {
                 "algorithm": algo.label, "snr_db": snr, "iot_db": cfg.iot_db,
                 "M": cfg.M, "C": cfg.C, "K": cfg.K, "N": cfg.N,
@@ -231,10 +231,6 @@ class OrderingVerdict:
     qualified: int                 # points with enough observed errors
     a_not_worse: int               # qualified points where ser(A) <= ser(B)
     verdict: str                   # "better_or_equal" | "worse" | "equal"
-
-    @property
-    def fraction(self) -> float:
-        return self.a_not_worse / self.qualified if self.qualified else 1.0
 
 
 def paired_ordering_test(report: SerReport, alg_a: str, alg_b: str,

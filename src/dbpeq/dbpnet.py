@@ -139,7 +139,7 @@ class DuState:
     def samples(self) -> np.ndarray:
         """Scaled pilot samples noise/sqrt(N)."""
         self._check()
-        return self._noise / np.sqrt(self._noise.shape[1])
+        return eq.scaled_samples(self._noise)
 
     @property
     def Y(self) -> np.ndarray:
@@ -302,19 +302,26 @@ def accumulate_symbols(fabric: Fabric) -> np.ndarray:
 # Star protocols
 # ---------------------------------------------------------------------------
 
-def _star_compress(fabric: Fabric):
-    """Each DU compresses locally and ships (Q_c H_c, {Q_c n_c^i}, Q_c y_c).
+def _ship_to_cu(fabric: Fabric, form: str, read: Callable):
+    """DU c ships the arrays ``read(du)`` gives in its scope to the CU.
 
-    Returns the payloads as the tuples (Q_c H_c), (Q_c n_c), (Q_c y_c).
+    They go as ``{form}_channel``, ``{form}_samples`` (preprocessing) and
+    ``{form}_signal`` (symbol estimation); returns the payloads grouped by kind.
     """
     sent = []
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
-            qh, qn, qy = eq.compress_cluster(du.H, du.Y, du.noise)
-        sent.append((fabric.send("preprocessing", c, CU, "compressed_channel", qh).payload,
-                     fabric.send("preprocessing", c, CU, "compressed_samples", qn).payload,
-                     fabric.send("symbol_estimation", c, CU, "compressed_signal", qy).payload))
+            channel, samples, signal = read(du)
+        sent.append((fabric.send("preprocessing", c, CU, f"{form}_channel", channel).payload,
+                     fabric.send("preprocessing", c, CU, f"{form}_samples", samples).payload,
+                     fabric.send("symbol_estimation", c, CU, f"{form}_signal", signal).payload))
     return zip(*sent)
+
+
+def _star_compress(fabric: Fabric):
+    """(Q_c H_c), ({Q_c n_c^i}), (Q_c y_c), each DU compressing locally."""
+    return _ship_to_cu(fabric, "compressed",
+                       lambda du: eq.compress_cluster(du.H, du.Y, du.noise))
 
 
 def run_sdr_star(fabric: Fabric, es: float):
@@ -348,8 +355,7 @@ def run_bdac(fabric: Fabric, es: float) -> tuple[eq.EqualizerResult, np.ndarray]
             wc = hpd_solve(atot, du.cache["Q"])
             du.cache["W"] = wc
         blocks.append(wc)
-    return (eq.EqualizerResult(W=np.hstack(blocks), algorithm="bdac"),
-            accumulate_symbols(fabric))
+    return eq.EqualizerResult(np.hstack(blocks)), accumulate_symbols(fabric)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +370,6 @@ def run_lrd_daisy(fabric: Fabric, r: int) -> None:
     """
     if fabric.topology.kind != "daisy":
         raise TopologyError("LRD runs on the daisy-chain topology")
-    m_total = sum(du._h.shape[0] for du in fabric.dus.values())
-    n_samples = next(iter(fabric.dus.values()))._noise.shape[1]
-    if r > min(m_total, n_samples):
-        raise RankOutOfRange(f"rank {r} exceeds min(M, N)")
     d = v = None
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
@@ -375,6 +377,8 @@ def run_lrd_daisy(fabric: Fabric, r: int) -> None:
         if c < fabric.C:
             fabric.send("lrd", c, fabric.next_du(c), "lrd_d", d)
             fabric.send("lrd", c, fabric.next_du(c), "lrd_v", v)
+    if v.shape[1] < r:  # each stage keeps min(r, rows so far, N) triplets
+        raise RankOutOfRange(f"rank {r} exceeds min(M, N) = {v.shape[1]}")
     # ring broadcast of the final V: C -> 1 -> 2 -> ... -> C, one hop per link
     src = fabric.C
     for _ in range(fabric.C):
@@ -448,10 +452,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     for c, w in zip(ring, wb):
         fabric.du(c).cache["W"] = w
 
-    return (eq.EqualizerResult(W=np.hstack(wb),
-                               algorithm="bcd" if r is None else "bcd-lrd",
-                               iterations=n_sweeps),
-            accumulate_symbols(fabric))
+    return eq.EqualizerResult(np.hstack(wb), n_sweeps), accumulate_symbols(fabric)
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +473,7 @@ def run_centralized(fabric: Fabric, es: float, central: Callable = _lmmse):
     ``central(H, noise, es)`` is the equalizer the CU runs (LMMSE by
     default). Total transfer is 2M(n_coh + K + N) over a coherence block.
     """
-    hs, ns, ys = [], [], []
-    for c in range(1, fabric.C + 1):
-        with fabric.local(c) as du:
-            h_c, n_c, y_c = du.H, du.noise, du.Y
-        hs.append(fabric.send("preprocessing", c, CU, "raw_channel", h_c).payload)
-        ns.append(fabric.send("preprocessing", c, CU, "raw_samples", n_c).payload)
-        ys.append(fabric.send("symbol_estimation", c, CU, "raw_signal", y_c).payload)
+    hs, ns, ys = _ship_to_cu(fabric, "raw", lambda du: (du.H, du.noise, du.Y))
     res = central(np.vstack(hs), np.vstack(ns), es)
     return res, res.W @ np.vstack(ys)
 
@@ -555,9 +550,9 @@ class Algorithm(NamedTuple):
 
     ``run(fabric, es, spec)`` runs the protocol on a ``topology`` fabric
     and returns the symbol estimates; ``spec`` is a
-    :class:`dbpeq.bench.AlgoSpec`, of whose ``T``, ``tol`` and ``r`` the
-    algorithm reads the ones named in ``params``. ``entries(cfg, spec)``
-    is the exact per-symbol ledger of a fixed-schedule run.
+    :class:`dbpeq.bench.AlgoSpec`, which may set only the ones of ``T``,
+    ``tol`` and ``r`` named in ``params``. ``entries(cfg, spec)`` is the
+    exact per-symbol ledger of a fixed-schedule run.
     """
 
     topology: str
@@ -566,8 +561,8 @@ class Algorithm(NamedTuple):
     params: tuple[str, ...] = ()
 
 
-def _bcd_symbols(fabric: Fabric, es: float, spec, r: Optional[int] = None) -> np.ndarray:
-    return run_bcd_daisy(fabric, es, sweeps=spec.T, tol=spec.tol, r=r,
+def _bcd_symbols(fabric: Fabric, es: float, spec) -> np.ndarray:
+    return run_bcd_daisy(fabric, es, sweeps=spec.T, tol=spec.tol, r=spec.r,
                          max_sweeps=10000)[1]
 
 
@@ -593,7 +588,7 @@ ALGORITHMS: dict[str, Algorithm] = {
         "daisy", _bcd_symbols,
         lambda cfg, a: formula_bcd(cfg.C, cfg.K, cfg.N, a.T, cfg.n_coh), ("T", "tol")),
     "bcd-lrd": Algorithm(
-        "daisy", lambda f, es, a: _bcd_symbols(f, es, a, r=a.r),
+        "daisy", _bcd_symbols,
         lambda cfg, a: formula_bcd_lrd_ledger(balanced_partition(cfg.M, cfg.C).sizes,
                                               cfg.K, cfg.N, a.T, a.r, cfg.n_coh),
         ("T", "tol", "r")),

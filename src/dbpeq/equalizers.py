@@ -39,10 +39,9 @@ from .scenario import sample_covariance
 
 @dataclass(frozen=True)
 class EqualizerResult:
-    """A K x M equalization matrix and the BCD sweeps that produced it."""
+    """A K x M equalization matrix and the BCD sweeps that produced it (0 if none)."""
 
     W: np.ndarray
-    algorithm: str
     iterations: int = 0
 
 
@@ -61,14 +60,14 @@ def lmmse_centralized(h: np.ndarray, rhat: np.ndarray, es: float) -> EqualizerRe
     rinv_h = hpd_solve(rhat, h)                      # R^-1 H
     gram = hermitize(h.conj().T @ rinv_h) + np.eye(k) / es
     w = hpd_solve(gram, rinv_h.conj().T)
-    return EqualizerResult(w, "lmmse")
+    return EqualizerResult(w)
 
 
 def zf_centralized(h: np.ndarray) -> EqualizerResult:
     """W = (H^H H)^-1 H^H; raises NotPositiveDefinite if H is rank-deficient."""
     gram = hermitize(h.conj().T @ h)
     w = hpd_solve(gram, h.conj().T)
-    return EqualizerResult(w, "zf")
+    return EqualizerResult(w)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +79,18 @@ def local_compression(h_c: np.ndarray, r_cc: np.ndarray) -> np.ndarray:
     return hpd_solve(r_cc, h_c).conj().T
 
 
+def _bdac(h_blocks, r_blocks, es: float):
+    """(BDAC blocks W_c = Atot^-1 Q_c, hermitized Gram sum_c Q_c H_c, Atot = Gram + I/Es)."""
+    qs = [local_compression(hc, rc) for hc, rc in zip(h_blocks, r_blocks)]
+    gram = hermitize(sum(q @ hc for q, hc in zip(qs, h_blocks)))
+    atot = gram + np.eye(gram.shape[0]) / es
+    return [hpd_solve(atot, q) for q in qs], gram, atot
+
+
 def bdac_mmse(h_blocks: Sequence[np.ndarray], r_blocks: Sequence[np.ndarray],
               es: float) -> EqualizerResult:
     """LMMSE with the covariance replaced by its block-diagonal part."""
-    k = h_blocks[0].shape[1]
-    qs = [local_compression(hc, rc) for hc, rc in zip(h_blocks, r_blocks)]
-    gram = sum(q @ hc for q, hc in zip(qs, h_blocks))
-    atot = hermitize(gram) + np.eye(k) / es
-    return EqualizerResult(np.hstack([hpd_solve(atot, q) for q in qs]), "bdac")
+    return EqualizerResult(np.hstack(_bdac(h_blocks, r_blocks, es)[0]))
 
 
 def compress_cluster(h_c: np.ndarray, y_c: np.ndarray, noise_c: np.ndarray
@@ -102,9 +105,9 @@ def _compress_blocks(h_blocks, y_blocks, noise_blocks):
     return zip(*map(compress_cluster, h_blocks, y_blocks, noise_blocks))
 
 
-def _compressed_lmmse(h_eff, r_eff, y_eff, es, tag):
-    w = lmmse_centralized(h_eff, r_eff, es).W
-    return EqualizerResult(w, tag), w @ y_eff
+def _compressed_lmmse(h_eff, r_eff, y_eff, es):
+    res = lmmse_centralized(h_eff, r_eff, es)
+    return res, res.W @ y_eff
 
 
 def dr_combine(qh, qn, qy, es: float, concatenate: bool):
@@ -120,7 +123,7 @@ def dr_combine(qh, qn, qy, es: float, concatenate: bool):
         raise NotPositiveDefinite(
             f"{tag} sample covariance has rank at most "
             f"{n_eff.shape[1]} < dimension {n_eff.shape[0]} (N too small)")
-    return _compressed_lmmse(join(qh), sample_covariance(n_eff), join(qy), es, tag)
+    return _compressed_lmmse(join(qh), sample_covariance(n_eff), join(qy), es)
 
 
 def sdr_mmse(h_blocks, y_blocks, noise_blocks, es: float):
@@ -148,7 +151,7 @@ def compressed_estimate(h: np.ndarray, rhat: np.ndarray, q: np.ndarray,
     """LMMSE symbol estimate computed from (Qy, QH, Q R Q^H) only."""
     qh = q @ h
     qrq = hermitize(q @ rhat @ q.conj().T)
-    _, shat = _compressed_lmmse(qh, qrq, q @ y, es, "compressed")
+    _, shat = _compressed_lmmse(qh, qrq, q @ y, es)
     return shat
 
 
@@ -241,9 +244,9 @@ def _real_form(m: np.ndarray) -> np.ndarray:
 class BcdBlockFactor:
     """Per-block quantities reused across every BCD sweep.
 
-    Built once per realization from one Cholesky factorization of the
-    block Gram G_c. The fixed-sweep kernel :func:`bcd_sweep_step` uses
-    the factor and the Es-weighted conjugate transposes. With
+    Built once per realization from ``chol``, the lower Cholesky factor
+    of the block Gram G_c. The fixed-sweep kernel :func:`bcd_sweep_step`
+    uses the factor and the Es-weighted conjugate transposes. With
     ``newton=True`` the factor also holds the operators of the
     converge-mode kernel :func:`bcd_newton_step`, in real form (see
     :func:`_real_form`): ``x`` of X_c = [H_c | S_c] and ``p`` of
@@ -251,7 +254,7 @@ class BcdBlockFactor:
     P_c[:K] = Es H_c^H G_c^-1.
     """
 
-    __slots__ = ("h", "s", "hh_es", "sh", "chol", "lower", "x", "p", "p_top")
+    __slots__ = ("h", "s", "hh_es", "sh", "chol", "x", "p", "p_top")
 
     def __init__(self, h_c: np.ndarray, samples_c: np.ndarray, es: float,
                  newton: bool = False):
@@ -259,12 +262,11 @@ class BcdBlockFactor:
         self.s = samples_c
         self.hh_es = es * h_c.conj().T
         self.sh = samples_c.conj().T
-        cf = hpd_factor(bcd_block_gram(h_c, samples_c, es))
-        self.chol, self.lower = cf
+        self.chol = hpd_factor(bcd_block_gram(h_c, samples_c, es))
         if newton:
             self.x = _real_form(np.hstack([h_c, samples_c]))
             # G_c is Hermitian, so P_c = (G_c^-1 [Es H_c | S_c])^H
-            p = hpd_factor_solve(cf, np.hstack([es * h_c, samples_c])).conj().T
+            p = hpd_factor_solve(self.chol, np.hstack([es * h_c, samples_c])).conj().T
             self.p = _real_form(p)
             self.p_top = np.ascontiguousarray(p[:h_c.shape[1]]).view(np.float64)
 
@@ -282,7 +284,7 @@ def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
     a_others = z[:, :k] - w_c_prev @ h_c
     b_others = z[:, k:] - w_c_prev @ samples_c
     num = block.hh_es - a_others @ block.hh_es - b_others @ block.sh
-    w_new, _ = _zpotrs(block.chol, num.conj().T, lower=block.lower)
+    w_new, _ = _zpotrs(block.chol, num.conj().T, lower=1)
     w_new = w_new.conj().T
     z_new = np.hstack([a_others + w_new @ h_c, b_others + w_new @ samples_c])
     return w_new, z_new, w_new - w_c_prev
@@ -382,12 +384,7 @@ def bdac_state(h_blocks, noise_blocks, sample_blocks, es: float
     protocol obtains it without an extra ring pass; the library shares
     the exact same path so protocol and library agree bit for bit.
     """
-    k = h_blocks[0].shape[1]
-    qs = [local_compression(hc, sample_covariance(nc))
-          for hc, nc in zip(h_blocks, noise_blocks)]
-    gram = hermitize(sum(q @ hc for q, hc in zip(qs, h_blocks)))
-    atot = gram + np.eye(k) / es
-    wb = [hpd_solve(atot, q) for q in qs]
+    wb, gram, atot = _bdac(h_blocks, [sample_covariance(nc) for nc in noise_blocks], es)
     a0 = hpd_solve(atot, gram)
     b0 = sum(w @ sc for w, sc in zip(wb, sample_blocks))
     return wb, a0, b0
@@ -417,7 +414,7 @@ def bcd_solve(h_blocks, noise_blocks, es: float, sweeps: Optional[int] = None,
     factors = [BcdBlockFactor(hc, sc, es, newton=tol is not None)
                for hc, sc in zip(h_blocks, sample_blocks)]
     n_sweeps = bcd_iterate(factors, wb, np.hstack([a, b]), sweeps, tol, max_sweeps)
-    return EqualizerResult(np.hstack(wb), "bcd", n_sweeps)
+    return EqualizerResult(np.hstack(wb), n_sweeps)
 
 
 # ---------------------------------------------------------------------------

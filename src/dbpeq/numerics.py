@@ -70,16 +70,13 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def frob_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a), "fro"))
-
-
-def hpd_factor(a: np.ndarray):
+def hpd_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky-factor a Hermitian positive-definite matrix.
 
     A is symmetrized before factorization. If the factorization fails, one
     ridge retry ``A + eps*tr(A)/n*I`` is attempted before raising
-    :class:`NotPositiveDefinite`. The returned handle feeds
+    :class:`NotPositiveDefinite`. Returns the lower factor L (A = L L^H;
+    the strict upper triangle holds leftovers of A), which feeds
     :func:`hpd_factor_solve` and may be reused across many right-hand
     sides (e.g. one factorization per BCD block per realization).
     """
@@ -88,10 +85,11 @@ def hpd_factor(a: np.ndarray):
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ShapeMismatch(f"hpd_factor needs a square matrix, got {a.shape}")
-    asym = frob_norm(a - a.conj().T)
-    if asym > HERM_TOL * max(1.0, frob_norm(a)):
-        raise NotHermitian(f"asymmetry {asym:.3e} beyond tolerance")
     ah = hermitize(a)
+    # ||A - A^H|| = 2 ||A - (A + A^H)/2||
+    asym = 2.0 * float(np.linalg.norm(a - ah))
+    if asym > HERM_TOL * max(1.0, float(np.linalg.norm(a))):
+        raise NotHermitian(f"asymmetry {asym:.3e} beyond tolerance")
     chol, info = _zpotrf(ah, lower=1, clean=0)
     if info > 0:
         _ridge_retries += 1
@@ -109,15 +107,15 @@ def hpd_factor(a: np.ndarray):
             )
     if info < 0:
         raise NumericsError(f"zpotrf rejected argument {-info}")
-    return chol, True
+    return chol
 
 
-def hpd_factor_solve(cf, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B from a factorization produced by :func:`hpd_factor`."""
+def hpd_factor_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A X = B given the lower Cholesky factor of A from :func:`hpd_factor`."""
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape[0] != cf[0].shape[0]:
-        raise ShapeMismatch(f"rhs rows {b.shape[0]} != matrix size {cf[0].shape[0]}")
-    x, info = _zpotrs(cf[0], b, lower=cf[1])
+    if b.shape[0] != chol.shape[0]:
+        raise ShapeMismatch(f"rhs rows {b.shape[0]} != matrix size {chol.shape[0]}")
+    x, info = _zpotrs(chol, b, lower=1)
     if info < 0:
         raise NumericsError(f"zpotrs rejected argument {-info}")
     return x
@@ -135,9 +133,6 @@ class SvdResult:
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.conj().T
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +168,8 @@ def svd(x: np.ndarray) -> SvdResult:
 
 def truncated_svd(x: np.ndarray, r: int) -> SvdResult:
     """The r dominant singular triplets of x (Eckart-Young optimal)."""
-    x = as_cmatrix(x)
-    kmax = min(x.shape)
-    if not 1 <= r <= kmax:
-        raise RankOutOfRange(f"rank {r} not in [1, {kmax}] for shape {x.shape}")
     full = svd(x)
+    kmax = full.S.size
+    if not 1 <= r <= kmax:
+        raise RankOutOfRange(f"rank {r} not in [1, {kmax}]")
     return SvdResult(U=full.U[:, :r], S=full.S[:r], V=full.V[:, :r])

@@ -208,7 +208,9 @@ def sample_covariance(noise: np.ndarray) -> np.ndarray:
 def _axis_levels(modulation: str, es: float) -> np.ndarray:
     if modulation == "qpsk":
         return np.array([-1.0, 1.0]) * np.sqrt(es / 2.0)
-    return np.array([-3.0, -1.0, 1.0, 3.0]) * np.sqrt(es / 10.0)
+    if modulation == "qam16":
+        return np.array([-3.0, -1.0, 1.0, 3.0]) * np.sqrt(es / 10.0)
+    raise ConfigError(f"unknown modulation {modulation!r}")
 
 
 def constellation(modulation: str, es: float) -> np.ndarray:
@@ -216,8 +218,6 @@ def constellation(modulation: str, es: float) -> np.ndarray:
 
     Points are ordered lexicographically by (real, imag).
     """
-    if modulation not in MODULATIONS:
-        raise ConfigError(f"unknown modulation {modulation!r}")
     lv = _axis_levels(modulation, es)
     re, im = np.meshgrid(lv, lv, indexing="ij")
     return (re + 1j * im).ravel()

@@ -47,6 +47,15 @@ class TestSpecs:
         with pytest.raises(ConfigError):
             AlgoSpec("bcd-lrd", **kw)
 
+    @pytest.mark.parametrize("name, kw", [
+        ("lmmse", dict(T=3)), ("bcd", dict(r=3)), ("bcd", dict(T=2, r=3)),
+        ("sdr", dict(tol=1e-3)),
+    ])
+    def test_algospec_rejects_settings_its_row_does_not_take(self, name, kw):
+        # the CSV would show a T or r the row never ran with
+        with pytest.raises(ConfigError, match="does not take"):
+            AlgoSpec(name, **kw)
+
     def test_runspec_validation(self):
         with pytest.raises(ValueError):
             _spec(trials=0)
@@ -160,7 +169,6 @@ class TestPairedOrdering:
         v = bench.paired_ordering_test(rep, "a", "b")
         assert v.verdict == "better_or_equal"
         assert v.qualified == 2 and v.a_not_worse == 2
-        assert v.fraction == 1.0
 
     def test_worse(self):
         rep = _report([("a", 0, 0.2, 900), ("b", 0, 0.1, 500)])
@@ -191,7 +199,7 @@ class TestPairedOrdering:
             rows.append(("b", snr, 0.15, 400))
         v = bench.paired_ordering_test(_report(rows), "a", "b")
         assert v.verdict == "worse"
-        assert v.fraction == pytest.approx(0.6)
+        assert v.a_not_worse / v.qualified == pytest.approx(0.6)
 
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):

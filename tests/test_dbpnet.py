@@ -277,7 +277,6 @@ class TestProtocolEquivalence:
         res_l = eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), 1.0, sweeps=3,
                              sample_blocks=g_blocks)
         np.testing.assert_array_equal(res_p.W, res_l.W)
-        assert res_p.algorithm == "bcd-lrd"
 
     def test_centralized_shipping(self):
         cfg = _cfg()
@@ -297,11 +296,36 @@ class TestProtocolEquivalence:
         np.testing.assert_array_equal(shat_p, res_l.W @ blk.Y)
 
     def test_lrd_rank_guard(self):
-        cfg = _cfg(M=16, C=4, N=48)
-        fab, _, _ = _fabric(cfg, kind="daisy")
         from dbpeq.numerics import RankOutOfRange
-        with pytest.raises(RankOutOfRange):
-            dbpnet.run_lrd_daisy(fab, 17)
+        for m, n in [(16, 48), (32, 12)]:   # r = min(M, N) + 1 for M < N and N < M
+            fab, _, _ = _fabric(_cfg(M=m, C=4, N=n), kind="daisy")
+            with pytest.raises(RankOutOfRange):
+                dbpnet.run_lrd_daisy(fab, min(m, n) + 1)
+
+    def test_lrd_reads_du_data_only_in_scope(self):
+        class SpyDu(dbpnet.DuState):
+            # the raw arrays themselves refuse a read outside this DU's scope
+            def _own(self, key):
+                if self._scope[0] != self.id:
+                    raise LocalityError(f"{key} of DU {self.id} read outside its scope")
+                return self.__dict__[key]
+
+            _h = property(lambda self: self._own("_h"))
+            _noise = property(lambda self: self._own("_noise"))
+
+        from dbpeq.numerics import RankOutOfRange
+        for r in (12, 13):   # min(M, N) = N = 12
+            fab, _, _ = _fabric(_cfg(M=32, C=4, N=12), kind="daisy")
+            for du in fab.dus.values():
+                du.__class__ = SpyDu
+            if r > 12:
+                with pytest.raises(RankOutOfRange):
+                    dbpnet.run_lrd_daisy(fab, r)
+            else:
+                dbpnet.run_lrd_daisy(fab, r)
+                for c in fab.dus:
+                    with fab.local(c) as du:
+                        assert du.cache["G"].shape == (du.H.shape[0], r)
 
     @pytest.mark.parametrize("mode", [
         dict(sweeps=2, tol=1e-3),

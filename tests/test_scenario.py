@@ -179,6 +179,15 @@ class TestModulation:
             s = modulate(idx, mod, 1.0)
             np.testing.assert_array_equal(slice_symbols(s, mod, 1.0), s)
 
+    @pytest.mark.parametrize("use", [
+        lambda mod: constellation(mod, 1.0),
+        lambda mod: slice_symbols(np.zeros((1, 1), complex), mod, 1.0),
+    ], ids=["constellation", "slice_symbols"])
+    def test_unknown_modulation_raises(self, use):
+        # slicing once fell back to 16-QAM levels for any unknown name
+        with pytest.raises(ConfigError):
+            use("bpsk")
+
     def test_slice_zero_rounds_up(self):
         # the midpoint between levels maps to the higher level
         got = slice_symbols(np.array([[0.0 + 0.0j]]), "qam16", 1.0)
