@@ -251,7 +251,8 @@ class BcdBlockFactor:
     converge-mode kernel :func:`bcd_newton_step`, in real form (see
     :func:`_real_form`): ``x`` of X_c = [H_c | S_c] and ``p`` of
     P_c = [Es H_c^H ; S_c^H] G_c^-1, and ``p_top``, the float64 view of
-    P_c[:K] = Es H_c^H G_c^-1.
+    P_c[:K] = Es H_c^H G_c^-1. The per-sweep W and D buffers are not
+    here: :func:`bcd_iterate` owns them.
     """
 
     __slots__ = ("h", "s", "hh_es", "sh", "chol", "x", "p", "p_top")
@@ -290,22 +291,22 @@ def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
     return w_new, z_new, w_new - w_c_prev
 
 
-def bcd_newton_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bcd_newton_step(block: BcdBlockFactor, z: np.ndarray, d: np.ndarray
+                    ) -> np.ndarray:
     """Converge-mode block update on the fused state Z = [A | B], in real form.
 
-    ``z`` and ``w_c`` are the interleaved float64 views of the complex
-    Z and W_c (``np.ascontiguousarray(a).view(np.float64)``). Since
-    X_c P_c = I, the new block is W_c + D with D = P_c[:K] - Z P_c, and
-    the accumulators move by D X_c: two real products on the views of
-    ``block`` (built with ``newton=True``) replace the fixed-sweep
-    kernel's six complex products and solve, so rounding differs from
-    :func:`bcd_sweep_step` in the last bits. Returns the float64 views
-    (W_c new, Z new, D); ``.view(np.complex128)`` reads each back as
-    complex. Z is a new array, never the input updated in place.
+    ``z`` is the interleaved float64 view of the complex Z
+    (``np.ascontiguousarray(a).view(np.float64)``) and ``d`` a
+    C-contiguous float64 K x 2 M_c buffer. Since X_c P_c = I, the new
+    block is W_c + D with D = P_c[:K] - Z P_c: the step writes D into
+    ``d`` and returns the new Z = Z + D X_c, leaving the add to W_c to
+    the caller. Two real products on the views of ``block`` (built with
+    ``newton=True``) replace the fixed-sweep kernel's six complex
+    products and solve, so rounding differs from :func:`bcd_sweep_step`
+    in the last bits. Z is a new array, never the input updated in place.
     """
-    d = block.p_top - z.dot(block.p)
-    return w_c + d, z + d.dot(block.x), d
+    np.subtract(block.p_top, z.dot(block.p), out=d)
+    return z + d.dot(block.x)
 
 
 def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
@@ -321,13 +322,16 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     ``max_sweeps < 1`` raises ValueError.
 
     ``wb`` holds the complex W blocks and is updated in place; ``z`` is
-    the starting complex [A | B]. Converge mode steps on float64 views
-    of both, taken once on entry (``wb`` holds those views until it
-    returns complex128 blocks on exit), and its stopping sums are the
-    real ``np.vdot`` of the views, the same squared norms. Block i
-    steps inside ``scopes[i]`` if given, then ``after(t, i, z)`` sees
-    the complex128 state after that step of sweep t. Returns the number
-    of sweeps run.
+    the starting complex [A | B]. Converge mode steps on the float64
+    view of Z and keeps W and the sweep's block changes D in two flat
+    float64 buffers, block after block, each block's slice a K x 2 M_c
+    view: every step writes its D, and after the sweep one ``W += D``
+    and one real ``np.vdot`` per side give the stopping sums, so W
+    takes the same additions as a per-block update. On exit ``wb``
+    holds each block as its own complex128 array. Block i steps inside
+    ``scopes[i]`` if given, then ``after(t, i, z)`` sees the complex128
+    Z after that step of sweep t (converge mode writes ``wb`` only on
+    exit). Returns the number of sweeps run.
     """
     if sweeps is not None and tol is not None:
         raise ValueError("give sweeps or tol, not both")
@@ -339,31 +343,35 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     limit = max_sweeps if converge else 4 if sweeps is None else sweeps
     # looked up per call, so a replaced module attribute is honored
     step = bcd_newton_step if converge else bcd_sweep_step
+    slots = wb
     if converge:
         z = np.ascontiguousarray(z).view(np.float64)
-        wb[:] = [np.ascontiguousarray(w).view(np.float64) for w in wb]
-    vdot = np.vdot
+        w_all = np.concatenate([w.ravel() for w in wb]).view(np.float64)
+        d_all = np.empty_like(w_all)
+        cuts = np.cumsum([2 * w.size for w in wb])[:-1]
+        slots = [d.reshape(w.shape[0], -1) for d, w in zip(np.split(d_all, cuts), wb)]
     ran = limit
     for t in range(limit):
-        change = 0.0
-        scale = 0.0
         for i, factor in enumerate(factors):
             if scopes is None:
-                w, z, d = step(factor, z, wb[i])
+                out = step(factor, z, slots[i])
             else:
                 with scopes[i]:
-                    w, z, d = step(factor, z, wb[i])
-            wb[i] = w
+                    out = step(factor, z, slots[i])
+            if converge:
+                z = out
+            else:
+                wb[i], z, _ = out
             if after is not None:
                 after(t, i, z.view(np.complex128))
-            if converge:
-                change += vdot(d, d)
-                scale += vdot(w, w)
-        if converge and change <= (tol ** 2) * max(scale, 1e-300):
-            ran = t + 1
-            break
+        if converge:
+            w_all += d_all
+            if np.vdot(d_all, d_all) <= tol ** 2 * max(np.vdot(w_all, w_all), 1e-300):
+                ran = t + 1
+                break
     if converge:
-        wb[:] = [w.view(np.complex128) for w in wb]
+        wb[:] = [w.view(np.complex128).reshape(b.shape).copy()
+                 for w, b in zip(np.split(w_all, cuts), wb)]
     return ran
 
 

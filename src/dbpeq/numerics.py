@@ -65,7 +65,7 @@ def as_cmatrix(a) -> np.ndarray:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^H)/2; removes floating-point drift from sample covariances."""
     a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"hermitize needs a square matrix, got {a.shape}")
     return 0.5 * (a + a.conj().T)
 
@@ -82,9 +82,9 @@ def hpd_factor(a: np.ndarray) -> np.ndarray:
     """
     global _ridge_retries
     a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"hpd_factor needs a square matrix, got {a.shape}")
+    n = a.shape[0]
     ah = hermitize(a)
     # ||A - A^H|| = 2 ||A - (A + A^H)/2||
     asym = 2.0 * float(np.linalg.norm(a - ah))
@@ -113,8 +113,8 @@ def hpd_factor(a: np.ndarray) -> np.ndarray:
 def hpd_factor_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B given the lower Cholesky factor of A from :func:`hpd_factor`."""
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape[0] != chol.shape[0]:
-        raise ShapeMismatch(f"rhs rows {b.shape[0]} != matrix size {chol.shape[0]}")
+    if np.ndim(chol) != 2 or b.ndim == 0 or b.shape[0] != chol.shape[0]:
+        raise ShapeMismatch(f"rhs {b.shape} does not fit factor {np.shape(chol)}")
     x, info = _zpotrs(chol, b, lower=1)
     if info < 0:
         raise NumericsError(f"zpotrs rejected argument {-info}")

@@ -17,6 +17,28 @@ def _cfg(**kw):
     return SystemConfig(**base)
 
 
+def _converge_per_block(factors, wb, z, tol, max_sweeps):
+    """Converge-mode BCD with W_c + D and the stopping sums taken per block.
+
+    The loop as it ran before one W update and one stopping sum per
+    sweep replaced it; the additions to W are the same, so W must come
+    out bit-identical. Returns (complex W blocks, sweeps run).
+    """
+    z = _real(z)
+    wb = [_real(w) for w in wb]
+    for t in range(max_sweeps):
+        change = scale = 0.0
+        for i, f in enumerate(factors):
+            d = f.p_top - z.dot(f.p)
+            wb[i] = wb[i] + d
+            z = z + d.dot(f.x)
+            change += np.vdot(d, d)
+            scale += np.vdot(wb[i], wb[i])
+        if change <= tol ** 2 * max(scale, 1e-300):
+            return [w.view(complex) for w in wb], t + 1
+    return [w.view(complex) for w in wb], max_sweeps
+
+
 class TestBlockUpdate:
     def test_update_is_block_minimizer(self):
         # perturbing the updated block in any direction cannot decrease f
@@ -87,12 +109,15 @@ class TestBlockUpdate:
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
         blk = eq.BcdBlockFactor(hb[0], sb[0], 1.0, newton=True)
-        # the kernel steps on the float64 views and returns them
-        w_new, z, d = (v.view(complex) for v in eq.bcd_newton_step(
-            blk, _real(np.hstack([a, b])), _real(wb[0])))
+        # the kernel steps on the float64 view of Z, writes D into the
+        # block's buffer and leaves W_c + D to its caller
+        d = np.empty((4, 2 * hb[0].shape[0]))
+        z = eq.bcd_newton_step(blk, _real(np.hstack([a, b])), d).view(complex)
+        d = d.view(complex)
+        w_new = wb[0] + d
         w_ref = eq.bcd_block_update(hb[0], sb[0], a, b, wb[0], 1.0)
         np.testing.assert_allclose(w_new, w_ref, atol=1e-12)
-        np.testing.assert_allclose(d, w_new - wb[0], atol=1e-12)
+        np.testing.assert_allclose(d, w_ref - wb[0], atol=1e-12)
         np.testing.assert_allclose(z[:, :4], a - wb[0] @ hb[0] + w_new @ hb[0],
                                    atol=1e-12)
         np.testing.assert_allclose(z[:, 4:], b - wb[0] @ sb[0] + w_new @ sb[0],
@@ -133,11 +158,12 @@ class TestDescent:
             blocks = [eq.BcdBlockFactor(h, s, 1.0, newton=True)
                       for h, s in zip(hb, sb)]
             z = _real(np.hstack([a, b]))
+            d = [np.empty((4, 2 * h.shape[0])) for h in hb]
             prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
             for _ in range(4):
                 for c in range(4):
-                    w, z, _ = eq.bcd_newton_step(blocks[c], z, _real(wb[c]))
-                    wb[c] = w.view(complex)
+                    z = eq.bcd_newton_step(blocks[c], z, d[c])
+                    wb[c] = wb[c] + d[c].view(complex)
                     obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
                     if obj > prev + 1e-12:
                         violations += 1
@@ -171,6 +197,23 @@ class TestConvergence:
         factors = [eq.BcdBlockFactor(h, s, 1.0, newton=True) for h, s in zip(hb, sb)]
         eq.bcd_iterate(factors, wb, z, tol=1e-12, max_sweeps=50000)
         np.testing.assert_allclose(r1.W, np.hstack(wb), atol=1e-7)
+
+    def test_matches_per_block_reference_loop(self):
+        # criterion 01's setting; the last case stops at the sweep cap
+        cfg = _cfg(seed=11)
+        for trial, max_sweeps in ((0, 50000), (1, 50000), (2, 50000), (3, 7)):
+            rz = gen_realization(cfg, trial)
+            hb, nb = rz.H_blocks(), rz.noise_blocks()
+            sb = [eq.scaled_samples(n) for n in nb]
+            wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
+            factors = [eq.BcdBlockFactor(h, s, cfg.Es, newton=True)
+                       for h, s in zip(hb, sb)]
+            w_ref, n_ref = _converge_per_block(factors, wb, np.hstack([a, b]),
+                                               1e-12, max_sweeps)
+            res = eq.bcd_solve(hb, nb, cfg.Es, tol=1e-12, max_sweeps=max_sweeps)
+            np.testing.assert_array_equal(res.W, np.hstack(w_ref))
+            assert res.iterations == n_ref
+        assert n_ref == 7
 
     def test_single_cluster_converges_in_one_sweep(self):
         cfg = _cfg(M=16, C=1)

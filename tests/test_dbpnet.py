@@ -268,6 +268,26 @@ class TestProtocolEquivalence:
             assert 1 < res_p.iterations < 5000
         np.testing.assert_allclose(shat_p, res_l.W @ blk.Y, atol=1e-12)
 
+    def test_bcd_tol_blocks_are_owned_by_their_du(self):
+        # converge mode keeps W in one flat loop buffer; no DU may be
+        # handed a view into it or into another DU's block
+        cfg = _cfg()
+        fab, rz, _ = _fabric(cfg, kind="daisy")
+        dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-8, max_sweeps=5000)
+        res_l = eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), 1.0,
+                             tol=1e-8, max_sweeps=5000)
+        ws = [fab.du(c).cache["W"] for c in range(1, fab.C + 1)]
+        for i, w in enumerate(ws):
+            assert w.dtype == np.complex128
+            np.testing.assert_array_equal(w, res_l.W[:, rz.partition.rows(i)])
+            assert not any(np.shares_memory(w, other) for other in ws[i + 1:])
+            # disjoint views of one buffer share no memory either, so
+            # check that nothing larger than the block stands behind it
+            root = w
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            assert root.nbytes == w.nbytes
+
     def test_bcd_lrd(self):
         cfg = _cfg(M=16, C=4, N=48)
         fab, rz, blk = _fabric(cfg, kind="daisy")

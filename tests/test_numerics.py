@@ -87,6 +87,21 @@ class TestHpdSolve:
         with pytest.raises(numerics.ShapeMismatch):
             numerics.hpd_solve(np.eye(3), np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("fn, args", [
+        ("hpd_factor", (np.float64(2.0),)),
+        ("hpd_solve", (np.float64(2.0), np.ones(1))),
+        ("hpd_solve", (np.eye(2), np.float64(1.0))),
+        ("hpd_factor_solve", (np.float64(2.0), np.ones(1))),
+        ("hpd_factor_solve", (np.eye(2), np.float64(1.0))),
+        ("hermitize", (np.float64(2.0),)),
+        ("hermitize", (np.ones(3),)),
+    ], ids=["factor-0d", "solve-0d-matrix", "solve-0d-rhs", "factor_solve-0d-factor",
+            "factor_solve-0d-rhs", "hermitize-0d", "hermitize-1d"])
+    def test_rejects_0d_and_1d_shapes(self, fn, args):
+        # a typed error, not the IndexError of reading a missing axis
+        with pytest.raises(numerics.ShapeMismatch):
+            getattr(numerics, fn)(*args)
+
     def test_negative_definite_raises(self):
         with pytest.raises(numerics.NotPositiveDefinite):
             with pytest.warns(RuntimeWarning):
