@@ -277,8 +277,8 @@ def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
     """Fixed-sweep Gauss-Seidel block update on Z = [A | B].
 
     A = sum_j W_j H_j and B = sum_j W_j S_j. Returns (W_c new, Z new, D),
-    D the block change, like :func:`bcd_newton_step`; Z is a new array,
-    never the input updated in place.
+    D = W_c new - W_c prev the block change; Z is a new array, never the
+    input updated in place.
     """
     h_c, samples_c = block.h, block.s
     k = h_c.shape[1]
