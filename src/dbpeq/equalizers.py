@@ -321,13 +321,13 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     :func:`bcd_sweep_step`. Giving both, ``sweeps < 0``, ``tol <= 0`` or
     ``max_sweeps < 1`` raises ValueError.
 
-    ``wb`` holds the complex W blocks and is updated in place; ``z`` is
-    the starting complex [A | B]. Converge mode steps on the float64
-    view of Z and keeps W and the sweep's block changes D in two flat
-    float64 buffers, block after block, each block's slice a K x 2 M_c
-    view: every step writes its D, and after the sweep one ``W += D``
-    and one real ``np.vdot`` per side give the stopping sums, so W
-    takes the same additions as a per-block update. On exit ``wb``
+    ``wb`` holds the W blocks and is updated in place; ``z`` is the
+    starting [A | B]. Converge mode casts both to complex128, steps on
+    the float64 view of Z and keeps W and the sweep's block changes D
+    in two flat float64 buffers, block after block, each block's slice
+    a K x 2 M_c view: every step writes its D, and after the sweep one
+    ``W += D`` and one real ``np.vdot`` per side give the stopping sums,
+    so W takes the same additions as a per-block update. On exit ``wb``
     holds each block as its own complex128 array. Block i steps inside
     ``scopes[i]`` if given, then ``after(t, i, z)`` sees the complex128
     Z after that step of sweep t (converge mode writes ``wb`` only on
@@ -345,8 +345,8 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     step = bcd_newton_step if converge else bcd_sweep_step
     slots = wb
     if converge:
-        z = np.ascontiguousarray(z).view(np.float64)
-        w_all = np.concatenate([w.ravel() for w in wb]).view(np.float64)
+        z = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+        w_all = np.concatenate([w.ravel() for w in wb], dtype=np.complex128).view(np.float64)
         d_all = np.empty_like(w_all)
         cuts = np.cumsum([2 * w.size for w in wb])[:-1]
         slots = [d.reshape(w.shape[0], -1) for d, w in zip(np.split(d_all, cuts), wb)]

@@ -1,11 +1,14 @@
 """CLI contract: subcommands, exit codes, config round-trip."""
 
+import ast
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from dbpeq import cli, dbpnet
+from dbpeq import cli, dbpnet, equalizers, verify
 
 
 def _run(argv):
@@ -238,6 +241,43 @@ class TestVerify:
         code = _run(["verify", "--filter", "ledger"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_descent_runs_the_newton_kernel(self, monkeypatch, capsys):
+        # over-relaxing D by 2.5 overshoots each block minimum; Z stays
+        # consistent with the overshot W
+        step = equalizers.bcd_newton_step
+
+        def over_relaxed(block, z, d):
+            step(block, z, d)
+            d *= 2.5
+            return z + d.dot(block.x)
+
+        monkeypatch.setattr(equalizers, "bcd_newton_step", over_relaxed)
+        assert _run(["verify", "--filter", "descent"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_full_battery_passes(self, capsys):
+        assert _run(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[:2] for ln in lines] == [["PASS", f"{name}:"]
+                                                    for name in verify.CHECKS]
+
+    def test_criteria_run_the_battery(self):
+        # criteria 01-07 and 09 each call a property function of verify,
+        # and every function behind CHECKS is called by some criterion
+        battery = {fn.func.__name__ for fn in verify.CHECKS.values()}
+        path = Path(__file__).with_name("test_acceptance.py")
+        called = {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            m = isinstance(node, ast.FunctionDef) and re.match(r"test_(\d\d)_", node.name)
+            if m:
+                called[int(m.group(1))] = {
+                    c.func.attr for c in ast.walk(node)
+                    if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                    and isinstance(c.func.value, ast.Name) and c.func.value.id == "verify"}
+        assert all(called[crit] & battery for crit in (1, 2, 3, 4, 5, 6, 7, 9))
+        assert battery <= set().union(*called.values())
 
 
 class TestBandwidth:
