@@ -124,7 +124,66 @@ class TestBlockUpdate:
                                    atol=1e-12)
 
 
+class TestDescent:
+    def test_monotone_descent_fifty_realizations(self):
+        cfg = _cfg(seed=100)
+        violations = 0
+        for trial in range(50):
+            rz = gen_realization(cfg, trial)
+            hb, nb = rz.H_blocks(), rz.noise_blocks()
+            sb = [eq.scaled_samples(n) for n in nb]
+            wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
+            prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
+            for _ in range(4):
+                for c in range(4):
+                    w_new = eq.bcd_block_update(hb[c], sb[c], a, b, wb[c], 1.0)
+                    a = a + (w_new - wb[c]) @ hb[c]
+                    b = b + (w_new - wb[c]) @ sb[c]
+                    wb[c] = w_new
+                    obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
+                    if obj > prev + 1e-12:
+                        violations += 1
+                    prev = obj
+        assert violations == 0
+
+    def test_newton_steps_descend_fifty_realizations(self):
+        # the converge-mode kernel must keep BCD's per-step descent
+        cfg = _cfg(seed=100)
+        violations = 0
+        for trial in range(50):
+            rz = gen_realization(cfg, trial)
+            hb, nb = rz.H_blocks(), rz.noise_blocks()
+            sb = [eq.scaled_samples(n) for n in nb]
+            wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
+            blocks = [eq.BcdBlockFactor(h, s, 1.0, newton=True)
+                      for h, s in zip(hb, sb)]
+            z = _real(np.hstack([a, b]))
+            d = [np.empty((4, 2 * h.shape[0])) for h in hb]
+            prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
+            for _ in range(4):
+                for c in range(4):
+                    z = eq.bcd_newton_step(blocks[c], z, d[c])
+                    wb[c] = wb[c] + d[c].view(complex)
+                    obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
+                    if obj > prev + 1e-12:
+                        violations += 1
+                    prev = obj
+        assert violations == 0
+
+
 class TestConvergence:
+    def test_converges_to_centralized_lmmse(self):
+        cfg = _cfg()
+        for trial in range(5):
+            rz = gen_realization(cfg, trial)
+            rhat = sample_covariance(rz.noise)
+            w_ref = eq.lmmse_centralized(rz.H, rhat, 1.0).W
+            res = eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), 1.0,
+                               sweeps=None, tol=1e-12, max_sweeps=50000)
+            gap = (np.linalg.norm(res.W - w_ref, "fro")
+                   / np.linalg.norm(w_ref, "fro"))
+            assert gap < 1e-8
+
     def test_zero_init_converges_to_same_point(self):
         # bcd_solve starts from BDAC; the loop itself is driven from W = 0
         cfg = _cfg(M=16, N=64)

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -380,9 +381,26 @@ GRID = [
 class TestLedgerFormulas:
     """Simulated ledgers equal the closed forms in exact rational arithmetic."""
 
-    # the star case is the bdac row of test_table_row
     @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
-    @pytest.mark.parametrize("kind", ["daisy"])
+    def test_centralized(self, m, k, c, n, ncoh, t, r):
+        cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
+        fab, _, _ = _fabric(cfg)
+        dbpnet.run_centralized(fab, 1.0)
+        assert fab.ledger.per_symbol_average() == \
+            dbpnet.formula_centralized(m, k, n, ncoh)
+
+    @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
+    @pytest.mark.parametrize("algo", ["sdr", "cdr"])
+    def test_dr(self, algo, m, k, c, n, ncoh, t, r):
+        cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
+        fab, _, _ = _fabric(cfg)
+        run = dbpnet.run_sdr_star if algo == "sdr" else dbpnet.run_cdr_star
+        run(fab, 1.0)
+        assert fab.ledger.per_symbol_average() == \
+            dbpnet.formula_dr(c, k, n, ncoh)
+
+    @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
+    @pytest.mark.parametrize("kind", ["star", "daisy"])
     def test_bdac(self, kind, m, k, c, n, ncoh, t, r):
         cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
         fab, _, _ = _fabric(cfg, kind=kind)
@@ -411,6 +429,14 @@ class TestLedgerFormulas:
         assert dbpnet.replay_totals(fab.dump_log()) == expected
 
     @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
+    def test_bcd(self, m, k, c, n, ncoh, t, r):
+        cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
+        fab, _, _ = _fabric(cfg, kind="daisy")
+        dbpnet.run_bcd_daisy(fab, 1.0, sweeps=t)
+        assert fab.ledger.per_symbol_average() == \
+            dbpnet.formula_bcd(c, k, n, t, ncoh)
+
+    @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
     def test_bcd_tol(self, m, k, c, n, ncoh, t, r):
         cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
         fab, _, _ = _fabric(cfg, kind="daisy")
@@ -418,6 +444,37 @@ class TestLedgerFormulas:
         assert res.iterations < 1000
         assert fab.ledger.per_symbol_average() == \
             dbpnet.formula_bcd(c, k, n, res.iterations, ncoh)
+
+    # severe compression (r + K < M_c) makes some block Grams singular;
+    # the ridge fallback warns, which is fine for a message-count test
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
+    def test_bcd_lrd(self, m, k, c, n, ncoh, t, r):
+        cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
+        fab, rz, _ = _fabric(cfg, kind="daisy")
+        dbpnet.run_bcd_daisy(fab, 1.0, sweeps=t, r=r)
+        assert fab.ledger.per_symbol_average() == \
+            dbpnet.formula_bcd_lrd_ledger(rz.partition.sizes, k, n, t, r, ncoh)
+
+    def test_bcd_lrd_aggregate_residual(self):
+        # the aggregate closed form counts the final-V broadcast as C+2
+        # hops; the simulated relay-plus-ring-broadcast uses C hops, a
+        # deficit of exactly 2*N*r entries per coherence block
+        m, k, c, n, ncoh, t, r = 128, 8, 8, 192, 480, 2, 8
+        sizes = (16,) * 8
+        aggregate = dbpnet.formula_bcd_lrd_aggregate(c, m, k, n, t, r, ncoh)
+        ledger = dbpnet.formula_bcd_lrd_ledger(sizes, k, n, t, r, ncoh)
+        assert aggregate - ledger == Fraction(2 * n * r, ncoh)
+
+    def test_published_numbers(self):
+        # 2M(n_coh+K+N)/n_coh at M=128, K=8, N=192, n_coh=480
+        assert dbpnet.formula_centralized(128, 8, 192, 480) == Fraction(1088, 3)
+        assert float(dbpnet.formula_centralized(128, 8, 192, 480)) == \
+            pytest.approx(362.67, abs=0.01)
+        # 2CK(n_coh+K+N)/n_coh at C=8, K=8
+        assert dbpnet.formula_dr(8, 8, 192, 480) == Fraction(544, 3)
+        assert float(dbpnet.formula_dr(8, 8, 192, 480)) == \
+            pytest.approx(181.33, abs=0.01)
 
     def test_iteration_phase_costs_are_uniform(self):
         cfg = _cfg()

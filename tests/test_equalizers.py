@@ -138,6 +138,21 @@ def _oracle_lmmse_compressed(h_eff, r_eff, es):
 
 
 class TestLosslessCompression:
+    def test_optimal_q_preserves_estimate(self):
+        rng = np.random.default_rng(0)
+        cfg = _cfg(M=16, K=4, C=1)
+        for trial in range(20):
+            rz = gen_realization(cfg, trial)
+            blk = gen_symbol_block(cfg, rz, trial)
+            rhat = sample_covariance(rz.noise)
+            ref = eq.lmmse_centralized(rz.H, rhat, 1.0).W @ blk.Y
+            p = (rng.standard_normal((4, 4))
+                 + 1j * rng.standard_normal((4, 4)))
+            q = p @ rz.H.conj().T @ np.linalg.inv(rhat)
+            shat = eq.compressed_estimate(rz.H, rhat, q, blk.Y, 1.0)
+            rel = np.linalg.norm(shat - ref) / np.linalg.norm(ref)
+            assert rel < 1e-9
+
     def test_generic_q_is_lossy(self):
         rng = np.random.default_rng(1)
         cfg = _cfg(M=16, K=4, C=1)
@@ -180,6 +195,20 @@ class TestMseMatrix:
         np.testing.assert_allclose(e, e.conj().T, atol=1e-10)
         assert np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min() > -1e-10
 
+    def test_sdr_cdr_ordering(self):
+        # concatenation never has a larger MSE matrix than superposition
+        for trial in range(25):
+            cfg = _cfg(M=16, K=4, C=2 if trial % 2 else 4, N=64)
+            rz = gen_realization(cfg, trial)
+            rhat = sample_covariance(rz.noise)
+            qs = _local_qs(rz)
+            e_s = eq.mse_matrix(rz.H, rhat, np.hstack(qs), 1.0)
+            e_c = eq.mse_matrix(rz.H, rhat, block_diag(*qs), 1.0)
+            diff = 0.5 * ((e_s - e_c) + (e_s - e_c).conj().T)
+            lam_min = np.linalg.eigvalsh(diff).min()
+            assert lam_min >= -1e-9 * abs(np.trace(diff).real + 1e-300)
+            assert np.trace(e_s).real >= np.trace(e_c).real - 1e-12
+
 
 class TestObjectiveAndGradient:
     def test_objective_forms_agree(self):
@@ -209,3 +238,26 @@ class TestObjectiveAndGradient:
             g = eq.objective_gradient_block(w_opt, rz.H, s,
                                             rz.partition.rows(c), 1.0)
             assert np.max(np.abs(g)) < 1e-9
+
+    def test_gradient_finite_differences(self):
+        rng = np.random.default_rng(6)
+        cfg = _cfg(M=12, C=3, N=32)
+        rz = gen_realization(cfg, 0)
+        s = eq.scaled_samples(rz.noise)
+        h = 1e-5
+        for _ in range(10):
+            w = (rng.standard_normal((4, 12))
+                 + 1j * rng.standard_normal((4, 12)))
+            c = int(rng.integers(0, 3))
+            rows = rz.partition.rows(c)
+            g = eq.objective_gradient_block(w, rz.H, s, rows, 1.0)
+            i = int(rng.integers(0, 4))
+            j = int(rng.integers(rows.start, rows.stop))
+            for part, ref in ((1.0, g.real), (1j, g.imag)):
+                wp, wm = w.copy(), w.copy()
+                wp[i, j] += part * h
+                wm[i, j] -= part * h
+                fd = (eq.objective_from_samples(wp, rz.H, s, 1.0)
+                      - eq.objective_from_samples(wm, rz.H, s, 1.0)) / (2 * h)
+                rel = abs(fd - ref[i, j - rows.start]) / max(abs(fd), 1e-12)
+                assert rel < 1e-4

@@ -1,8 +1,11 @@
 """Sequential low-rank decomposition of the scaled sample matrix."""
 
 import numpy as np
+import pytest
 
 from dbpeq import equalizers as eq
+from dbpeq.numerics import truncated_svd
+from dbpeq.scenario import SystemConfig, gen_realization, sample_covariance
 
 
 def _rand_rank(rng, m, n, rank):
@@ -65,6 +68,26 @@ class TestExactness:
         rel = (np.linalg.norm(rhat - g @ g.conj().T, "fro")
                / np.linalg.norm(rhat, "fro"))
         assert rel < 1e-9
+
+
+class TestNearOptimality:
+    def test_sequential_close_to_global_svd(self):
+        cfg = SystemConfig(M=16, K=4, C=4, N=48, snr_db=10.0, iot_db=10.0,
+                           seed=55)
+        ratios = []
+        for trial in range(50):
+            rz = gen_realization(cfg, trial)
+            sb = [eq.scaled_samples(n) for n in rz.noise_blocks()]
+            g_blocks, _ = eq.lrd_sequential(sb, 4)
+            g = np.vstack(g_blocks)
+            rhat = sample_covariance(rz.noise)
+            res_seq = np.linalg.norm(rhat - g @ g.conj().T, "fro")
+            dec = truncated_svd(np.vstack(sb), 4)
+            g_opt = dec.U * dec.S
+            res_opt = np.linalg.norm(rhat - g_opt @ g_opt.conj().T, "fro")
+            ratios.append(res_seq / res_opt)
+        assert max(ratios) <= 1.1
+        assert min(ratios) >= 1.0 - 1e-9   # global SVD is a lower bound
 
 
 class TestAutoRank:
