@@ -1,11 +1,11 @@
 """Simulated DBP fabric: nodes, topologies, message accounting, protocols.
 
 The fabric is an in-process event simulation. Inter-node data moves only
-through :class:`Message` objects created by :meth:`Fabric.send`; every
-message's real-entry count is derived from its payload shape and added
-to the :class:`BandwidthLedger`. Distributed-unit state is guarded so a
-protocol driver cannot read another node's raw data outside that node's
-local-computation scope.
+through :meth:`Fabric.send`: it adds each message's real-entry count,
+derived from its payload shape, to the :class:`BandwidthLedger`, and a
+:class:`Message` records it when the log is on. Distributed-unit state
+is guarded so a protocol driver cannot read another node's raw data
+outside that node's local-computation scope.
 
 Protocol drivers reorganize the equalizer computations across nodes but
 call the same helpers as :mod:`dbpeq.equalizers`, so the results match
@@ -188,21 +188,19 @@ class Fabric:
         """
         return _LocalScope(self, c)
 
-    def send(self, phase: str, src: int, dst: int, kind: str, payload: np.ndarray) -> Message:
+    def send(self, phase: str, src: int, dst: int, kind: str, payload) -> np.ndarray:
         link = (src, dst)
         if link not in self._legal_links:
             # an illegal link raises here and is never remembered
             self.topology.check_link(src, dst)
             self._legal_links.add(link)
         arr = np.asarray(payload)
-        shape = arr.shape
-        rows = shape[0] if shape else 1
-        cols = shape[1] if len(shape) > 1 else 1
+        # a scalar counts as 1 x 1, a vector as a column
+        rows, cols = (arr.shape + (1, 1))[:2]
         self.ledger.record(phase, 2 * rows * cols)
-        msg = Message(phase, src, dst, kind, rows, cols, arr)
         if self.record_log:
-            self.log.append(msg)
-        return msg
+            self.log.append(Message(phase, src, dst, kind, rows, cols, arr))
+        return arr
 
     def dump_log(self) -> str:
         return "\n".join(m.log_line() for m in self.log)
@@ -312,9 +310,9 @@ def _ship_to_cu(fabric: Fabric, form: str, read: Callable):
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
             channel, samples, signal = read(du)
-        sent.append((fabric.send("preprocessing", c, CU, f"{form}_channel", channel).payload,
-                     fabric.send("preprocessing", c, CU, f"{form}_samples", samples).payload,
-                     fabric.send("symbol_estimation", c, CU, f"{form}_signal", signal).payload))
+        sent.append((fabric.send("preprocessing", c, CU, f"{form}_channel", channel),
+                     fabric.send("preprocessing", c, CU, f"{form}_samples", samples),
+                     fabric.send("symbol_estimation", c, CU, f"{form}_signal", signal)))
     return zip(*sent)
 
 
@@ -400,7 +398,8 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     (K x K per hop), then the summed Gram plus the running compressed
     sample accumulator (K x K + K x N, or K x r with LRD) while each DU
     forms its BDAC initial block. Every sweep passes (A, B) around the
-    ring as two messages; symbols are accumulated in a final ring pass.
+    ring as two messages, ``bcd_a`` (A - I in converge mode, the residual
+    the loop steps on) and ``bcd_b``; symbols are accumulated in a final ring pass.
 
     The sweeps run in :func:`dbpeq.equalizers.bcd_iterate`, each block
     step inside its DU's scope, under its one rule: ``tol`` runs converge
@@ -437,14 +436,15 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
 
     send = fabric.send
     hops = [(c, fabric.next_du(c)) for c in ring]
+    phases: list[str] = []
 
     def pass_on(t: int, i: int, z: np.ndarray) -> None:
-        # views of a Z that each step rebinds, never writes in place, so
-        # the payloads stay valid in a recorded log
+        # views of a state each step rebinds, never writes: logged payloads stay valid
+        if t == len(phases):
+            phases.append(f"iteration[{t}]")
         src, dst = hops[i]
-        phase = f"iteration[{t}]"
-        send(phase, src, dst, "bcd_a", z[:, :k])
-        send(phase, src, dst, "bcd_b", z[:, k:])
+        send(phases[t], src, dst, "bcd_a", z[:, :k])
+        send(phases[t], src, dst, "bcd_b", z[:, k:])
 
     wb = [fabric.du(c).cache["W"] for c in ring]
     n_sweeps = eq.bcd_iterate(factors, wb, z, sweeps, tol, max_sweeps,

@@ -249,13 +249,12 @@ class BcdBlockFactor:
     uses the factor and the Es-weighted conjugate transposes. With
     ``newton=True`` the factor also holds the operators of the
     converge-mode kernel :func:`bcd_newton_step`, in real form (see
-    :func:`_real_form`): ``x`` of X_c = [H_c | S_c] and ``p`` of
-    P_c = [Es H_c^H ; S_c^H] G_c^-1, and ``p_top``, the float64 view of
-    P_c[:K] = Es H_c^H G_c^-1. The per-sweep W and D buffers are not
-    here: :func:`bcd_iterate` owns them.
+    :func:`_real_form`): ``x`` of X_c = [H_c | S_c] and ``p`` of -P_c,
+    P_c = [Es H_c^H ; S_c^H] G_c^-1. The per-sweep W and D buffers are
+    not here: :func:`bcd_iterate` owns them.
     """
 
-    __slots__ = ("h", "s", "hh_es", "sh", "chol", "x", "p", "p_top")
+    __slots__ = ("h", "s", "hh_es", "sh", "chol", "x", "p")
 
     def __init__(self, h_c: np.ndarray, samples_c: np.ndarray, es: float,
                  newton: bool = False):
@@ -268,8 +267,7 @@ class BcdBlockFactor:
             self.x = _real_form(np.hstack([h_c, samples_c]))
             # G_c is Hermitian, so P_c = (G_c^-1 [Es H_c | S_c])^H
             p = hpd_factor_solve(self.chol, np.hstack([es * h_c, samples_c])).conj().T
-            self.p = _real_form(p)
-            self.p_top = np.ascontiguousarray(p[:h_c.shape[1]]).view(np.float64)
+            self.p = _real_form(-p)
 
 
 def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
@@ -291,22 +289,22 @@ def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
     return w_new, z_new, w_new - w_c_prev
 
 
-def bcd_newton_step(block: BcdBlockFactor, z: np.ndarray, d: np.ndarray
+def bcd_newton_step(block: BcdBlockFactor, r: np.ndarray, d: np.ndarray
                     ) -> np.ndarray:
-    """Converge-mode block update on the fused state Z = [A | B], in real form.
+    """Converge-mode block update on the residual R = [A - I | B], in real form.
 
-    ``z`` is the interleaved float64 view of the complex Z
-    (``np.ascontiguousarray(a).view(np.float64)``) and ``d`` a
-    C-contiguous float64 K x 2 M_c buffer. Since X_c P_c = I, the new
-    block is W_c + D with D = P_c[:K] - Z P_c: the step writes D into
-    ``d`` and returns the new Z = Z + D X_c, leaving the add to W_c to
-    the caller. Two real products on the views of ``block`` (built with
-    ``newton=True``) replace the fixed-sweep kernel's six complex
-    products and solve, so rounding differs from :func:`bcd_sweep_step`
-    in the last bits. Z is a new array, never the input updated in place.
+    ``r`` is the interleaved float64 view of the complex R
+    (``np.ascontiguousarray(r).view(np.float64)``) and ``d`` a
+    C-contiguous float64 K x 2 M_c buffer. Since X_c P_c = I and
+    P_c[:K] = [I | 0] P_c, the new block is W_c + D with
+    D = -R P_c: one real product on ``block.p`` (built with
+    ``newton=True``) writes D into ``d``, and the step returns the new
+    R = R + D X_c, leaving the add to W_c to the caller. Rounding
+    differs from :func:`bcd_sweep_step` in the last bits. R is a new
+    array, never the input updated in place.
     """
-    np.subtract(block.p_top, z.dot(block.p), out=d)
-    return z + d.dot(block.x)
+    r.dot(block.p, out=d)
+    return r + d.dot(block.x)
 
 
 def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
@@ -322,16 +320,17 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     ``max_sweeps < 1`` raises ValueError.
 
     ``wb`` holds the W blocks and is updated in place; ``z`` is the
-    starting [A | B]. Converge mode casts both to complex128, steps on
-    the float64 view of Z and keeps W and the sweep's block changes D
-    in two flat float64 buffers, block after block, each block's slice
-    a K x 2 M_c view: every step writes its D, and after the sweep one
-    ``W += D`` and one real ``np.vdot`` per side give the stopping sums,
-    so W takes the same additions as a per-block update. On exit ``wb``
-    holds each block as its own complex128 array. Block i steps inside
-    ``scopes[i]`` if given, then ``after(t, i, z)`` sees the complex128
-    Z after that step of sweep t (converge mode writes ``wb`` only on
-    exit). Returns the number of sweeps run.
+    starting Z = [A | B]. Converge mode casts both to complex128 and
+    steps on the float64 view of the residual R = [A - I | B] = Z - [I | 0].
+    It keeps W and the sweep's block changes D in two flat float64
+    buffers, each block's slice a K x 2 M_c view: every step writes its
+    D, and after the sweep one ``W += D`` and one real ``np.vdot`` per
+    side give the stopping sums, so W takes the same additions as a
+    per-block update. On exit ``wb`` holds each block as its own
+    complex128 array. Block i steps inside ``scopes[i]`` if given, then
+    ``after(t, i, z)`` sees the complex128 Z (R in converge mode, which
+    writes ``wb`` only on exit) after that step of sweep t. Returns the
+    number of sweeps run.
     """
     if sweeps is not None and tol is not None:
         raise ValueError("give sweeps or tol, not both")
@@ -345,7 +344,8 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     step = bcd_newton_step if converge else bcd_sweep_step
     slots = wb
     if converge:
-        z = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+        z = (np.ascontiguousarray(z, dtype=np.complex128) - np.eye(*np.shape(z))).view(float)
+        tol2 = tol ** 2
         w_all = np.concatenate([w.ravel() for w in wb], dtype=np.complex128).view(np.float64)
         d_all = np.empty_like(w_all)
         cuts = np.cumsum([2 * w.size for w in wb])[:-1]
@@ -366,7 +366,7 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
                 after(t, i, z.view(np.complex128))
         if converge:
             w_all += d_all
-            if np.vdot(d_all, d_all) <= tol ** 2 * max(np.vdot(w_all, w_all), 1e-300):
+            if np.vdot(d_all, d_all) <= tol2 * max(np.vdot(w_all, w_all), 1e-300):
                 ran = t + 1
                 break
     if converge:

@@ -86,9 +86,9 @@ def hpd_factor(a: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"hpd_factor needs a square matrix, got {a.shape}")
     n = a.shape[0]
     ah = hermitize(a)
-    # ||A - A^H|| = 2 ||A - (A + A^H)/2||
+    # ||A - A^H|| = 2 ||A - (A + A^H)/2||; ||A|| matters only past HERM_TOL
     asym = 2.0 * float(np.linalg.norm(a - ah))
-    if asym > HERM_TOL * max(1.0, float(np.linalg.norm(a))):
+    if asym > HERM_TOL and asym > HERM_TOL * float(np.linalg.norm(a)):
         raise NotHermitian(f"asymmetry {asym:.3e} beyond tolerance")
     chol, info = _zpotrf(ah, lower=1, clean=0)
     if info > 0:

@@ -58,7 +58,7 @@ def check_bcd_descent(cfg: SystemConfig, count: int) -> CheckResult:
     """No step of 4 BCD sweeps from BDAC raises the sample objective by over 1e-12.
 
     Checked for the oracle :func:`bcd_block_update`, the fixed-sweep
-    :func:`bcd_sweep_step` and the converge-mode :func:`bcd_newton_step`.
+    :func:`bcd_sweep_step` and the converge-mode :func:`bcd_newton_step` (on R = Z - [I | 0]).
     """
     violations = steps = 0
     for trial in range(count):
@@ -71,7 +71,7 @@ def check_bcd_descent(cfg: SystemConfig, count: int) -> CheckResult:
         d = [np.empty((cfg.K, 2 * h.shape[0])) for h in hb]
         for kernel in ("oracle", "fixed-sweep", "newton"):
             wb, z = list(w0), np.hstack([a, b])
-            z = z.view(np.float64) if kernel == "newton" else z
+            z = (z - np.eye(*z.shape)).view(np.float64) if kernel == "newton" else z
             prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, cfg.Es)
             for _ in range(4):
                 for c, (h, s) in enumerate(zip(hb, sb)):

@@ -11,6 +11,11 @@ def _real(a):
     return np.ascontiguousarray(a).view(float)
 
 
+def _residual(z):
+    """R = Z - [I | 0] = [A - I | B], the state of the converge-mode kernel."""
+    return z - np.eye(*z.shape)
+
+
 def _cfg(**kw):
     base = dict(M=32, K=4, C=4, N=64, snr_db=10.0, iot_db=10.0, seed=21)
     base.update(kw)
@@ -22,14 +27,15 @@ def _converge_per_block(factors, wb, z, tol, max_sweeps):
 
     The loop as it ran before one W update and one stopping sum per
     sweep replaced it; the additions to W are the same, so W must come
-    out bit-identical. Returns (complex W blocks, sweeps run).
+    out bit-identical. Like the loop it steps on R = [A - I | B], formed
+    from the starting ``z`` = [A | B]. Returns (complex W blocks, sweeps run).
     """
-    z = _real(z)
+    z = _real(_residual(z))
     wb = [_real(w) for w in wb]
     for t in range(max_sweeps):
         change = scale = 0.0
         for i, f in enumerate(factors):
-            d = f.p_top - z.dot(f.p)
+            d = z.dot(f.p)
             wb[i] = wb[i] + d
             z = z + d.dot(f.x)
             change += np.vdot(d, d)
@@ -109,10 +115,11 @@ class TestBlockUpdate:
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
         blk = eq.BcdBlockFactor(hb[0], sb[0], 1.0, newton=True)
-        # the kernel steps on the float64 view of Z, writes D into the
-        # block's buffer and leaves W_c + D to its caller
+        # the kernel steps on the float64 view of R = [A - I | B], writes
+        # D into the block's buffer and leaves W_c + D to its caller
         d = np.empty((4, 2 * hb[0].shape[0]))
-        z = eq.bcd_newton_step(blk, _real(np.hstack([a, b])), d).view(complex)
+        z = eq.bcd_newton_step(blk, _real(_residual(np.hstack([a, b]))), d).view(complex)
+        z[:, :4] += np.eye(4)
         d = d.view(complex)
         w_new = wb[0] + d
         w_ref = eq.bcd_block_update(hb[0], sb[0], a, b, wb[0], 1.0)
@@ -157,7 +164,7 @@ class TestDescent:
             wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
             blocks = [eq.BcdBlockFactor(h, s, 1.0, newton=True)
                       for h, s in zip(hb, sb)]
-            z = _real(np.hstack([a, b]))
+            z = _real(_residual(np.hstack([a, b])))
             d = [np.empty((4, 2 * h.shape[0])) for h in hb]
             prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
             for _ in range(4):
@@ -218,6 +225,29 @@ class TestConvergence:
             np.testing.assert_array_equal(res.W, np.hstack(w_ref))
             assert res.iterations == n_ref
         assert n_ref == 7
+
+    def test_carried_residual_does_not_drift(self):
+        # after thousands of sweeps the R that the loop carries still
+        # equals the residual of the W it returns
+        cfg = _cfg(seed=11)
+        rz = gen_realization(cfg, 0)
+        hb, nb = rz.H_blocks(), rz.noise_blocks()
+        sb = [eq.scaled_samples(n) for n in nb]
+        wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
+        factors = [eq.BcdBlockFactor(h, s, cfg.Es, newton=True)
+                   for h, s in zip(hb, sb)]
+        seen = {}
+
+        def after(t, i, r):
+            # the loop rebinds its state, so keeping the last one is safe
+            seen["steps"] = seen.get("steps", 0) + 1
+            seen["r"] = r
+
+        sweeps = eq.bcd_iterate(factors, wb, np.hstack([a, b]), tol=1e-12,
+                                max_sweeps=50000, after=after)
+        assert sweeps > 1000 and seen["steps"] == 4 * sweeps
+        r_true = _residual(np.hstack(wb) @ np.hstack([rz.H, np.vstack(sb)]))
+        np.testing.assert_allclose(seen["r"], r_true, rtol=0, atol=1e-12)
 
     def test_single_cluster_converges_in_one_sweep(self):
         cfg = _cfg(M=16, C=1)

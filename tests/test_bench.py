@@ -1,8 +1,5 @@
 """Monte-Carlo harness: determinism, failure policy, ordering test."""
 
-import os
-
-import numpy as np
 import pytest
 
 from dbpeq import bench

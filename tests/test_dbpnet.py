@@ -210,9 +210,10 @@ class TestMessages:
                 assert not np.shares_memory(p1, p2)
         for c in range(1, fab.C + 1):
             assert fab.du(c).cache["W"].dtype == np.complex128
+        # converge mode carries the residual: bcd_a holds A - I
         last_a = [m.payload for m in fab.log if m.kind == "bcd_a"][-1]
         a_final = sum(fab.du(c).cache["W"] @ fab.du(c).H for c in range(1, fab.C + 1))
-        np.testing.assert_allclose(last_a, a_final, atol=1e-10)
+        np.testing.assert_allclose(last_a, a_final - np.eye(k), atol=1e-10)
 
 
 class TestProtocolEquivalence:

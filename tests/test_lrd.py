@@ -1,7 +1,6 @@
 """Sequential low-rank decomposition of the scaled sample matrix."""
 
 import numpy as np
-import pytest
 
 from dbpeq import equalizers as eq
 from dbpeq.numerics import truncated_svd

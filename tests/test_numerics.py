@@ -79,6 +79,21 @@ class TestHpdSolve:
         with pytest.raises(numerics.NotHermitian):
             numerics.hpd_solve(a, np.eye(4))
 
+    def test_hermitian_tolerance_scales_with_norm(self):
+        # ||A - A^H|| may reach HERM_TOL * max(1, ||A||): 1e-4 at ||A|| = 1e6
+        rng = np.random.default_rng(6)
+        h = _rand_hpd(rng, 4)
+        h *= 1e6 / np.linalg.norm(h)
+        k = _rand_complex(rng, (4, 4))
+        k = (k - k.conj().T) / np.linalg.norm(k - k.conj().T)   # skew, norm 1
+        for asym in (1e-6, 1e-3):
+            a = h + asym / 2 * k
+            assert np.isclose(np.linalg.norm(a - a.conj().T), asym)
+            assert np.isclose(np.linalg.norm(a), 1e6)
+        numerics.hpd_factor(h + 1e-6 / 2 * k)
+        with pytest.raises(numerics.NotHermitian):
+            numerics.hpd_factor(h + 1e-3 / 2 * k)
+
     def test_rejects_rectangular(self):
         with pytest.raises(numerics.ShapeMismatch):
             numerics.hpd_solve(np.zeros((2, 3)), np.zeros((2, 1)))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dbpeq import scenario
 from dbpeq.scenario import (
     ConfigError,
     SystemConfig,
