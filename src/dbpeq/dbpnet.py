@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import equalizers as eq
-from .numerics import RankOutOfRange, hermitize, hpd_solve
+from .numerics import RankOutOfRange, ShapeMismatch, hermitize, hpd_solve
 from .scenario import Realization, balanced_partition, sample_covariance
 
 CU = -1          # central unit id (star topology)
@@ -189,17 +189,21 @@ class Fabric:
         return _LocalScope(self, c)
 
     def send(self, phase: str, src: int, dst: int, kind: str, payload) -> np.ndarray:
+        """Count ``payload`` at 2 real entries per element and return it as
+        an array; a payload of over 2 dimensions raises ShapeMismatch. The
+        log keeps a copy, a snapshot even of a view a later step writes."""
         link = (src, dst)
         if link not in self._legal_links:
             # an illegal link raises here and is never remembered
             self.topology.check_link(src, dst)
             self._legal_links.add(link)
         arr = np.asarray(payload)
-        # a scalar counts as 1 x 1, a vector as a column
-        rows, cols = (arr.shape + (1, 1))[:2]
-        self.ledger.record(phase, 2 * rows * cols)
+        if arr.ndim > 2:
+            raise ShapeMismatch(f"a message payload has at most 2 dimensions, got {arr.shape}")
+        self.ledger.record(phase, 2 * arr.size)
         if self.record_log:
-            self.log.append(Message(phase, src, dst, kind, rows, cols, arr))
+            rows, cols = (arr.shape + (1, 1))[:2]
+            self.log.append(Message(phase, src, dst, kind, rows, cols, arr.copy()))
         return arr
 
     def dump_log(self) -> str:
@@ -437,14 +441,17 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     send = fabric.send
     hops = [(c, fabric.next_du(c)) for c in ring]
     phases: list[str] = []
+    # (Z, bcd_a view, bcd_b view), remade only for a new Z: converge mode steps one R
+    views = [None, None, None]
 
     def pass_on(t: int, i: int, z: np.ndarray) -> None:
-        # views of a state each step rebinds, never writes: logged payloads stay valid
         if t == len(phases):
             phases.append(f"iteration[{t}]")
+        if z is not views[0]:
+            views[:] = z, z[:, :k], z[:, k:]
         src, dst = hops[i]
-        send(phases[t], src, dst, "bcd_a", z[:, :k])
-        send(phases[t], src, dst, "bcd_b", z[:, k:])
+        send(phases[t], src, dst, "bcd_a", views[1])
+        send(phases[t], src, dst, "bcd_b", views[2])
 
     wb = [fabric.du(c).cache["W"] for c in ring]
     n_sweeps = eq.bcd_iterate(factors, wb, z, sweeps, tol, max_sweeps,

@@ -298,13 +298,14 @@ def bcd_newton_step(block: BcdBlockFactor, r: np.ndarray, d: np.ndarray
     C-contiguous float64 K x 2 M_c buffer. Since X_c P_c = I and
     P_c[:K] = [I | 0] P_c, the new block is W_c + D with
     D = -R P_c: one real product on ``block.p`` (built with
-    ``newton=True``) writes D into ``d``, and the step returns the new
-    R = R + D X_c, leaving the add to W_c to the caller. Rounding
-    differs from :func:`bcd_sweep_step` in the last bits. R is a new
-    array, never the input updated in place.
+    ``newton=True``) writes D into ``d``, and R += D X_c updates ``r``
+    in place (the same bits as ``r + d.dot(block.x)``), leaving the add
+    to W_c to the caller. Returns ``r``. Rounding differs from
+    :func:`bcd_sweep_step` in the last bits.
     """
     r.dot(block.p, out=d)
-    return r + d.dot(block.x)
+    r += d.dot(block.x)
+    return r
 
 
 def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
@@ -328,9 +329,11 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     side give the stopping sums, so W takes the same additions as a
     per-block update. On exit ``wb`` holds each block as its own
     complex128 array. Block i steps inside ``scopes[i]`` if given, then
-    ``after(t, i, z)`` sees the complex128 Z (R in converge mode, which
-    writes ``wb`` only on exit) after that step of sweep t. Returns the
-    number of sweeps run.
+    ``after(t, i, z)`` sees the complex128 Z after that step of sweep t.
+    In converge mode that is R, built once on entry as a new array (the
+    caller's Z is never written) and stepped in place, so ``after`` sees
+    the same live array at every step and must copy what it keeps; ``wb``
+    is written only on exit. Returns the number of sweeps run.
     """
     if sweeps is not None and tol is not None:
         raise ValueError("give sweeps or tol, not both")
@@ -344,7 +347,8 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     step = bcd_newton_step if converge else bcd_sweep_step
     slots = wb
     if converge:
-        z = (np.ascontiguousarray(z, dtype=np.complex128) - np.eye(*np.shape(z))).view(float)
+        live = np.ascontiguousarray(z, dtype=np.complex128) - np.eye(*np.shape(z))
+        z = live.view(np.float64)
         tol2 = tol ** 2
         w_all = np.concatenate([w.ravel() for w in wb], dtype=np.complex128).view(np.float64)
         d_all = np.empty_like(w_all)
@@ -358,12 +362,11 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
             else:
                 with scopes[i]:
                     out = step(factor, z, slots[i])
-            if converge:
-                z = out
-            else:
+            if not converge:
                 wb[i], z, _ = out
+                live = z
             if after is not None:
-                after(t, i, z.view(np.complex128))
+                after(t, i, live)
         if converge:
             w_all += d_all
             if np.vdot(d_all, d_all) <= tol2 * max(np.vdot(w_all, w_all), 1e-300):

@@ -239,9 +239,9 @@ class TestConvergence:
         seen = {}
 
         def after(t, i, r):
-            # the loop rebinds its state, so keeping the last one is safe
+            # the loop steps one R in place, so keep a copy of it
             seen["steps"] = seen.get("steps", 0) + 1
-            seen["r"] = r
+            seen["r"] = r.copy()
 
         sweeps = eq.bcd_iterate(factors, wb, np.hstack([a, b]), tol=1e-12,
                                 max_sweeps=50000, after=after)

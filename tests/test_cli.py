@@ -243,14 +243,16 @@ class TestVerify:
         assert "PASS" in capsys.readouterr().out
 
     def test_descent_runs_the_newton_kernel(self, monkeypatch, capsys):
-        # over-relaxing D by 2.5 overshoots each block minimum; Z stays
-        # consistent with the overshot W
+        # over-relaxing D by 2.5 overshoots each block minimum; R, stepped
+        # in place by D, takes 1.5 D X_c more, so it stays consistent with
+        # the overshot W
         step = equalizers.bcd_newton_step
 
-        def over_relaxed(block, z, d):
-            step(block, z, d)
+        def over_relaxed(block, r, d):
+            step(block, r, d)
+            r += 1.5 * d.dot(block.x)
             d *= 2.5
-            return z + d.dot(block.x)
+            return r
 
         monkeypatch.setattr(equalizers, "bcd_newton_step", over_relaxed)
         assert _run(["verify", "--filter", "descent"]) == 1

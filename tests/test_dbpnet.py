@@ -9,6 +9,7 @@ import pytest
 
 from dbpeq import bench, dbpnet, equalizers as eq
 from dbpeq.dbpnet import CU, OUT, LocalityError, TopologyError
+from dbpeq.numerics import ShapeMismatch
 from dbpeq.scenario import (
     SystemConfig,
     gen_realization,
@@ -80,6 +81,18 @@ class TestTopology:
             with pytest.raises(TopologyError):
                 fab.send("preprocessing", 1, 3, "k", payload)
         assert fab.ledger.total == 3 * 12
+
+    def test_send_counts_by_size_and_rejects_over_two_dimensions(self):
+        # a scalar counts as 1 x 1 and a vector as a column; a 3-D payload
+        # has no rows x cols form, so it raises rather than count 12 of 48
+        fab, _, _ = _fabric(_cfg())
+        for payload, entries in ((1.5 + 2j, 2), (np.ones(5), 10), (np.ones((3, 4)), 24)):
+            fab.ledger.phases["preprocessing"] = 0
+            fab.send("preprocessing", 1, CU, "k", payload)
+            assert fab.ledger.phases["preprocessing"] == entries
+        with pytest.raises(ShapeMismatch):
+            fab.send("preprocessing", 1, CU, "k", np.zeros((2, 3, 4), complex))
+        assert fab.ledger.phases["preprocessing"] == 24
 
 
 class TestLocality:
@@ -214,6 +227,31 @@ class TestMessages:
         last_a = [m.payload for m in fab.log if m.kind == "bcd_a"][-1]
         a_final = sum(fab.du(c).cache["W"] @ fab.du(c).H for c in range(1, fab.C + 1))
         np.testing.assert_allclose(last_a, a_final - np.eye(k), atol=1e-10)
+
+    @pytest.mark.parametrize("mode", [dict(tol=1e-8, max_sweeps=30), dict(sweeps=3)])
+    def test_logged_payloads_equal_the_loop_state(self, monkeypatch, mode):
+        # converge mode steps one R in place and fixed-T mode makes a new
+        # Z each step: every logged message must still hold what the loop
+        # held at its step, neither a live view nor a stale one
+        held = []
+        iterate = eq.bcd_iterate
+
+        def recording(*args, after, **kw):
+            def both(t, i, z):
+                held.append(z.copy())
+                after(t, i, z)
+            return iterate(*args, after=both, **kw)
+
+        monkeypatch.setattr(eq, "bcd_iterate", recording)
+        fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
+        res, _ = dbpnet.run_bcd_daisy(fab, 1.0, **mode)
+        k = res.W.shape[0]
+        assert len(held) == 4 * res.iterations > 4
+        for kind, part in (("bcd_a", np.s_[:, :k]), ("bcd_b", np.s_[:, k:])):
+            sent = [m.payload for m in fab.log if m.kind == kind]
+            assert len(sent) == len(held)
+            for payload, z in zip(sent, held):
+                np.testing.assert_array_equal(payload, z[part])
 
 
 class TestProtocolEquivalence:
