@@ -95,6 +95,14 @@ class RunSpec:
             raise ConfigError("snr grid must be non-empty")
         if not self.algorithms:
             raise ConfigError("algorithm list must be non-empty")
+        for snr in self.snr_grid:  # a non-finite SNR raises here, before any cell runs
+            self.cfg.with_updates(snr_db=snr)
+        # results are keyed by (label, SNR), so a repeat would overwrite a cell
+        for what, values in (("algorithm label", [a.label for a in self.algorithms]),
+                             ("SNR", list(self.snr_grid))):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{what} {repeated[0]!r} is given twice")
 
 
 def default_algo(name: str, cfg: SystemConfig, T: int = 4, r: Optional[int] = None) -> AlgoSpec:

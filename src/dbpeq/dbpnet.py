@@ -403,7 +403,8 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     sample accumulator (K x K + K x N, or K x r with LRD) while each DU
     forms its BDAC initial block. Every sweep passes (A, B) around the
     ring as two messages, ``bcd_a`` (A - I in converge mode, the residual
-    the loop steps on) and ``bcd_b``; symbols are accumulated in a final ring pass.
+    the loop steps on) and ``bcd_b``, views of the loop's one live state
+    made at the first hop; symbols are accumulated in a final ring pass.
 
     The sweeps run in :func:`dbpeq.equalizers.bcd_iterate`, each block
     step inside its DU's scope, under its one rule: ``tol`` runs converge
@@ -441,17 +442,17 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     send = fabric.send
     hops = [(c, fabric.next_du(c)) for c in ring]
     phases: list[str] = []
-    # (Z, bcd_a view, bcd_b view), remade only for a new Z: converge mode steps one R
-    views = [None, None, None]
+    # the bcd_a and bcd_b views of the one state that the loop steps in place
+    views = []
 
     def pass_on(t: int, i: int, z: np.ndarray) -> None:
         if t == len(phases):
             phases.append(f"iteration[{t}]")
-        if z is not views[0]:
-            views[:] = z, z[:, :k], z[:, k:]
+        if not views:
+            views[:] = z[:, :k], z[:, k:]
         src, dst = hops[i]
-        send(phases[t], src, dst, "bcd_a", views[1])
-        send(phases[t], src, dst, "bcd_b", views[2])
+        send(phases[t], src, dst, "bcd_a", views[0])
+        send(phases[t], src, dst, "bcd_b", views[1])
 
     wb = [fabric.du(c).cache["W"] for c in ring]
     n_sweeps = eq.bcd_iterate(factors, wb, z, sweeps, tol, max_sweeps,

@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -270,28 +271,27 @@ class BcdBlockFactor:
             self.p = _real_form(-p)
 
 
-def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c_prev: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-sweep Gauss-Seidel block update on Z = [A | B].
+def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray) -> None:
+    """Fixed-sweep Gauss-Seidel block update of Z = [A | B] and W_c, in place.
 
-    A = sum_j W_j H_j and B = sum_j W_j S_j. Returns (W_c new, Z new, D),
-    D = W_c new - W_c prev the block change; Z is a new array, never the
-    input updated in place.
+    A = sum_j W_j H_j and B = sum_j W_j S_j; ``z`` holds Z and ``w_c``
+    the block W_c. The new block is written into ``w_c`` and Z takes its
+    new contribution in place, the new W_c being the product operand.
     """
     h_c, samples_c = block.h, block.s
     k = h_c.shape[1]
-    a_others = z[:, :k] - w_c_prev @ h_c
-    b_others = z[:, k:] - w_c_prev @ samples_c
+    a_others = z[:, :k] - w_c @ h_c
+    b_others = z[:, k:] - w_c @ samples_c
     num = block.hh_es - a_others @ block.hh_es - b_others @ block.sh
     w_new, _ = _zpotrs(block.chol, num.conj().T, lower=1)
     w_new = w_new.conj().T
-    z_new = np.hstack([a_others + w_new @ h_c, b_others + w_new @ samples_c])
-    return w_new, z_new, w_new - w_c_prev
+    w_c[...] = w_new
+    np.add(a_others, w_new @ h_c, out=z[:, :k])
+    np.add(b_others, w_new @ samples_c, out=z[:, k:])
 
 
-def bcd_newton_step(block: BcdBlockFactor, r: np.ndarray, d: np.ndarray
-                    ) -> np.ndarray:
-    """Converge-mode block update on the residual R = [A - I | B], in real form.
+def bcd_newton_step(block: BcdBlockFactor, r: np.ndarray, d: np.ndarray) -> None:
+    """Converge-mode block update of the residual R = [A - I | B], in real form.
 
     ``r`` is the interleaved float64 view of the complex R
     (``np.ascontiguousarray(r).view(np.float64)``) and ``d`` a
@@ -300,12 +300,11 @@ def bcd_newton_step(block: BcdBlockFactor, r: np.ndarray, d: np.ndarray
     D = -R P_c: one real product on ``block.p`` (built with
     ``newton=True``) writes D into ``d``, and R += D X_c updates ``r``
     in place (the same bits as ``r + d.dot(block.x)``), leaving the add
-    to W_c to the caller. Returns ``r``. Rounding differs from
-    :func:`bcd_sweep_step` in the last bits.
+    to W_c to the caller. Rounding differs from :func:`bcd_sweep_step`
+    in the last bits.
     """
     r.dot(block.p, out=d)
     r += d.dot(block.x)
-    return r
 
 
 def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
@@ -320,20 +319,20 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     :func:`bcd_sweep_step`. Giving both, ``sweeps < 0``, ``tol <= 0`` or
     ``max_sweeps < 1`` raises ValueError.
 
-    ``wb`` holds the W blocks and is updated in place; ``z`` is the
-    starting Z = [A | B]. Converge mode casts both to complex128 and
-    steps on the float64 view of the residual R = [A - I | B] = Z - [I | 0].
-    It keeps W and the sweep's block changes D in two flat float64
-    buffers, each block's slice a K x 2 M_c view: every step writes its
-    D, and after the sweep one ``W += D`` and one real ``np.vdot`` per
-    side give the stopping sums, so W takes the same additions as a
-    per-block update. On exit ``wb`` holds each block as its own
-    complex128 array. Block i steps inside ``scopes[i]`` if given, then
-    ``after(t, i, z)`` sees the complex128 Z after that step of sweep t.
-    In converge mode that is R, built once on entry as a new array (the
-    caller's Z is never written) and stepped in place, so ``after`` sees
-    the same live array at every step and must copy what it keeps; ``wb``
-    is written only on exit. Returns the number of sweeps run.
+    ``wb`` holds the W blocks and ``z`` the starting Z = [A | B]; neither
+    array is written. Both kernels follow one contract, ``step(factor,
+    state, slot)``: each updates the one live state in place and writes
+    its block output into ``slot``. The state is a complex128 copy of Z,
+    from which converge mode subtracts [I | 0] to step on the float64
+    view of R = [A - I | B]. The W blocks live in one flat buffer: a
+    fixed-mode slot is its block of W, a converge-mode slot the K x 2 M_c
+    float64 view of the block change D in a second flat buffer, added by
+    one ``W += D`` after the sweep, with one real ``np.vdot`` per side for
+    the stopping sums. Block i steps inside ``scopes[i]`` if given, then
+    ``after(t, i, state)`` sees the complex128 state (Z, or R in converge
+    mode) after that step of sweep t: the same live array at every step,
+    so ``after`` must copy what it keeps. On exit ``wb`` holds each block
+    as its own complex128 array. Returns the number of sweeps run.
     """
     if sweeps is not None and tol is not None:
         raise ValueError("give sweeps or tol, not both")
@@ -345,36 +344,34 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     limit = max_sweeps if converge else 4 if sweeps is None else sweeps
     # looked up per call, so a replaced module attribute is honored
     step = bcd_newton_step if converge else bcd_sweep_step
-    slots = wb
+    state = np.array(z, dtype=np.complex128)
+    w_all = np.concatenate([w.ravel() for w in wb], dtype=np.complex128)
+    spans = [(e - w.size, e, w.shape) for e, w in zip(accumulate(w.size for w in wb), wb)]
+    w_blocks = [w_all[a:e].reshape(shape) for a, e, shape in spans]
+    live, slots = state, w_blocks
     if converge:
-        live = np.ascontiguousarray(z, dtype=np.complex128) - np.eye(*np.shape(z))
-        z = live.view(np.float64)
+        state -= np.eye(*state.shape)
+        live = state.view(np.float64)
         tol2 = tol ** 2
-        w_all = np.concatenate([w.ravel() for w in wb], dtype=np.complex128).view(np.float64)
         d_all = np.empty_like(w_all)
-        cuts = np.cumsum([2 * w.size for w in wb])[:-1]
-        slots = [d.reshape(w.shape[0], -1) for d, w in zip(np.split(d_all, cuts), wb)]
+        slots = [d_all[a:e].view(np.float64).reshape(shape[0], -1) for a, e, shape in spans]
+        w_all, d_all = w_all.view(np.float64), d_all.view(np.float64)
     ran = limit
     for t in range(limit):
         for i, factor in enumerate(factors):
             if scopes is None:
-                out = step(factor, z, slots[i])
+                step(factor, live, slots[i])
             else:
                 with scopes[i]:
-                    out = step(factor, z, slots[i])
-            if not converge:
-                wb[i], z, _ = out
-                live = z
+                    step(factor, live, slots[i])
             if after is not None:
-                after(t, i, live)
+                after(t, i, state)
         if converge:
             w_all += d_all
             if np.vdot(d_all, d_all) <= tol2 * max(np.vdot(w_all, w_all), 1e-300):
                 ran = t + 1
                 break
-    if converge:
-        wb[:] = [w.view(np.complex128).reshape(b.shape).copy()
-                 for w, b in zip(np.split(w_all, cuts), wb)]
+    wb[:] = [w.copy() for w in w_blocks]
     return ran
 
 

@@ -9,6 +9,7 @@ safe to run in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -55,6 +56,9 @@ class SystemConfig:
             raise ConfigError(f"need 1 <= C <= M, got C={self.C}")
         if self.N <= self.K:
             raise ConfigError(f"need N > K, got N={self.N}, K={self.K}")
+        for name in ("Es", "snr_db", "iot_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.Es <= 0:
             raise ConfigError("Es must be positive")
         if self.iot_db < 0:

@@ -70,7 +70,7 @@ def check_bcd_descent(cfg: SystemConfig, count: int) -> CheckResult:
         newton = [eq.BcdBlockFactor(h, s, cfg.Es, newton=True) for h, s in zip(hb, sb)]
         d = [np.empty((cfg.K, 2 * h.shape[0])) for h in hb]
         for kernel in ("oracle", "fixed-sweep", "newton"):
-            wb, z = list(w0), np.hstack([a, b])
+            wb, z = [w.copy() for w in w0], np.hstack([a, b])
             z = (z - np.eye(*z.shape)).view(np.float64) if kernel == "newton" else z
             prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, cfg.Es)
             for _ in range(4):
@@ -78,13 +78,13 @@ def check_bcd_descent(cfg: SystemConfig, count: int) -> CheckResult:
                     if kernel == "oracle":
                         w_new = eq.bcd_block_update(h, s, z[:, :cfg.K], z[:, cfg.K:],
                                                     wb[c], cfg.Es)
-                        z = z + (w_new - wb[c]) @ np.hstack([h, s])
-                    elif kernel == "fixed-sweep":
-                        w_new, z, _ = eq.bcd_sweep_step(fixed[c], z, wb[c])
-                    else:
-                        z = eq.bcd_newton_step(newton[c], z, d[c])
-                        w_new = wb[c] + d[c].view(np.complex128)
-                    wb[c] = w_new
+                        z += (w_new - wb[c]) @ np.hstack([h, s])
+                        wb[c] = w_new
+                    elif kernel == "fixed-sweep":  # steps z, writes W_c into wb[c]
+                        eq.bcd_sweep_step(fixed[c], z, wb[c])
+                    else:  # steps z, writes D into d[c]
+                        eq.bcd_newton_step(newton[c], z, d[c])
+                        wb[c] += d[c].view(np.complex128)
                     obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, cfg.Es)
                     violations += obj > prev + 1e-12
                     steps += 1

@@ -1,6 +1,8 @@
 """BCD solver properties: descent, convergence, stationarity."""
 
 import numpy as np
+import pytest
+from scipy.linalg.lapack import zpotrs
 
 from dbpeq import equalizers as eq
 from dbpeq.scenario import SystemConfig, gen_realization, sample_covariance
@@ -43,6 +45,25 @@ def _converge_per_block(factors, wb, z, tol, max_sweeps):
         if change <= tol ** 2 * max(scale, 1e-300):
             return [w.view(complex) for w in wb], t + 1
     return [w.view(complex) for w in wb], max_sweeps
+
+
+def _sweep_per_block(factors, wb, z, sweeps):
+    """Fixed-sweep BCD that makes a new W_c and a new Z = [A | B] at every block step.
+
+    The reference for the loop's in-place state: each step does the same
+    arithmetic, so W must come out bit-identical. Returns the W blocks.
+    """
+    wb = list(wb)
+    for _ in range(sweeps):
+        for i, f in enumerate(factors):
+            k = f.h.shape[1]
+            a_others = z[:, :k] - wb[i] @ f.h
+            b_others = z[:, k:] - wb[i] @ f.s
+            num = f.hh_es - a_others @ f.hh_es - b_others @ f.sh
+            w_new = zpotrs(f.chol, num.conj().T, lower=1)[0].conj().T
+            z = np.hstack([a_others + w_new @ f.h, b_others + w_new @ f.s])
+            wb[i] = w_new
+    return wb
 
 
 class TestBlockUpdate:
@@ -99,10 +120,11 @@ class TestBlockUpdate:
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
         blk = eq.BcdBlockFactor(hb[0], sb[0], 1.0)
-        w_fast, z, d = eq.bcd_sweep_step(blk, np.hstack([a, b]), wb[0])
+        # the kernel steps Z = [A | B] in place and writes W_c into its slot
+        z, w_fast = np.hstack([a, b]), wb[0].copy()
+        assert eq.bcd_sweep_step(blk, z, w_fast) is None
         w_ref = eq.bcd_block_update(hb[0], sb[0], a, b, wb[0], 1.0)
         np.testing.assert_allclose(w_fast, w_ref, atol=1e-12)
-        np.testing.assert_array_equal(d, w_fast - wb[0])
         np.testing.assert_allclose(z[:, :4], a - wb[0] @ hb[0] + w_fast @ hb[0],
                                    atol=1e-12)
         np.testing.assert_allclose(z[:, 4:], b - wb[0] @ sb[0] + w_fast @ sb[0],
@@ -118,7 +140,9 @@ class TestBlockUpdate:
         # the kernel steps on the float64 view of R = [A - I | B], writes
         # D into the block's buffer and leaves W_c + D to its caller
         d = np.empty((4, 2 * hb[0].shape[0]))
-        z = eq.bcd_newton_step(blk, _real(_residual(np.hstack([a, b]))), d).view(complex)
+        z = _real(_residual(np.hstack([a, b])))
+        assert eq.bcd_newton_step(blk, z, d) is None
+        z = z.view(complex)
         z[:, :4] += np.eye(4)
         d = d.view(complex)
         w_new = wb[0] + d
@@ -169,7 +193,7 @@ class TestDescent:
             prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
             for _ in range(4):
                 for c in range(4):
-                    z = eq.bcd_newton_step(blocks[c], z, d[c])
+                    eq.bcd_newton_step(blocks[c], z, d[c])
                     wb[c] = wb[c] + d[c].view(complex)
                     obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
                     if obj > prev + 1e-12:
@@ -225,6 +249,42 @@ class TestConvergence:
             np.testing.assert_array_equal(res.W, np.hstack(w_ref))
             assert res.iterations == n_ref
         assert n_ref == 7
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 4])
+    def test_fixed_sweeps_match_per_block_reference_loop(self, sweeps):
+        cfg = _cfg(seed=11)
+        for trial in range(3):
+            rz = gen_realization(cfg, trial)
+            hb, nb = rz.H_blocks(), rz.noise_blocks()
+            sb = [eq.scaled_samples(n) for n in nb]
+            wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
+            factors = [eq.BcdBlockFactor(h, s, cfg.Es) for h, s in zip(hb, sb)]
+            w_ref = _sweep_per_block(factors, wb, np.hstack([a, b]), sweeps)
+            res = eq.bcd_solve(hb, nb, cfg.Es, sweeps=sweeps)
+            np.testing.assert_array_equal(res.W, np.hstack(w_ref))
+            assert res.iterations == sweeps
+
+    @pytest.mark.parametrize("mode", [dict(tol=1e-8, max_sweeps=30), dict(sweeps=3)])
+    def test_one_live_state_and_untouched_inputs(self, mode):
+        # both modes step one state in place, so ``after`` gets the same
+        # array at every step; the caller's Z and W blocks are never written
+        cfg = _cfg(seed=11)
+        rz = gen_realization(cfg, 0)
+        hb, nb = rz.H_blocks(), rz.noise_blocks()
+        sb = [eq.scaled_samples(n) for n in nb]
+        wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
+        factors = [eq.BcdBlockFactor(h, s, cfg.Es, newton="tol" in mode)
+                   for h, s in zip(hb, sb)]
+        z, w_in = np.hstack([a, b]), list(wb)
+        z_copy, w_copies = z.copy(), [w.copy() for w in wb]
+        seen = []
+        sweeps = eq.bcd_iterate(factors, wb, z, after=lambda t, i, s: seen.append(s),
+                                **mode)
+        assert len(seen) == 4 * sweeps > 4
+        assert all(s is seen[0] for s in seen)
+        np.testing.assert_array_equal(z, z_copy)
+        for w, w_copy in zip(w_in, w_copies):
+            np.testing.assert_array_equal(w, w_copy)
 
     def test_carried_residual_does_not_drift(self):
         # after thousands of sweeps the R that the loop carries still

@@ -61,6 +61,22 @@ class TestSpecs:
         with pytest.raises(ValueError):
             _spec(algorithms=())
 
+    @pytest.mark.parametrize("kw, repeat", [
+        (dict(algorithms=(AlgoSpec("bcd", T=1), AlgoSpec("bcd", T=4))), "algorithm label 'bcd'"),
+        (dict(snr_grid=(10.0, 0.0, 10.0)), "SNR 10.0"),
+    ])
+    def test_runspec_rejects_repeated_cells(self, kw, repeat):
+        # cells are keyed by (label, SNR): the T=4 run overwrote the T=1
+        # row's results, and a repeated SNR wrote its row twice
+        with pytest.raises(ConfigError, match=f"{repeat} is given twice"):
+            _spec(**kw)
+
+    def test_runspec_rejects_a_non_finite_snr(self):
+        # checked when the spec is made, before any cell runs; run_sweep
+        # wrote rows with ser 0.937 and mse nan for a NaN SNR
+        with pytest.raises(ConfigError, match="snr_db must be finite"):
+            _spec(snr_grid=(0.0, float("nan")))
+
     def test_default_algo_fills_lrd_rank(self):
         cfg = _cfg()
         a = bench.default_algo("bcd-lrd", cfg, T=3)

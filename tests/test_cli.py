@@ -166,6 +166,15 @@ class TestRun:
         assert hashlib.sha256(log.read_bytes()).hexdigest() == \
             "0d7fb6538e00e3a06c7845a104f1b9569c93cc656f087427eb2b4c437dd70ed4"
 
+    def test_csv_digest(self, tmp_path):
+        # the default sweep of every algorithm, 2 trials: a change to any
+        # result, row order or number format changes these bytes
+        out = tmp_path / "r.csv"
+        assert _run(["run", "--algorithms", "zf,lmmse,bdac,sdr,cdr,bcd,bcd-lrd",
+                     "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "355e6a5c8af3455f9e96bc3bbd3148b3537615f5cd3a77a2384e96b37d35da2c"
+
     def test_dump_messages_logs_a_failing_cell(self, tmp_path):
         # cdr's compressed covariance has rank N = 8 < C*K = 16; the sweep
         # writes a FAIL row, and the message log says why instead of crashing
@@ -186,6 +195,9 @@ class TestRun:
         pytest.param([*DESK_FLAGS, "--snr", "nan"], None, id="snr-nan"),
         pytest.param([*DESK_FLAGS, "--iot", "nan"], None, id="iot-nan"),
         pytest.param([], {**DESK, "iot": "inf"}, id="config-iot-inf"),
+        # each of these wrote one cell's results into two rows
+        pytest.param([*DESK_FLAGS, "--algorithms", "bcd,bcd"], None, id="repeated-algorithm"),
+        pytest.param([], {**DESK, "snr": "10,10"}, id="repeated-snr"),
         pytest.param([], {**DESK, "timing": "false"}, id="timing-string"),
         pytest.param([], {**DESK, "M": 16.9}, id="fractional-M"),
         pytest.param([], {**DESK, "trials": 1.5}, id="fractional-trials"),
@@ -252,7 +264,6 @@ class TestVerify:
             step(block, r, d)
             r += 1.5 * d.dot(block.x)
             d *= 2.5
-            return r
 
         monkeypatch.setattr(equalizers, "bcd_newton_step", over_relaxed)
         assert _run(["verify", "--filter", "descent"]) == 1

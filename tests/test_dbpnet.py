@@ -230,9 +230,9 @@ class TestMessages:
 
     @pytest.mark.parametrize("mode", [dict(tol=1e-8, max_sweeps=30), dict(sweeps=3)])
     def test_logged_payloads_equal_the_loop_state(self, monkeypatch, mode):
-        # converge mode steps one R in place and fixed-T mode makes a new
-        # Z each step: every logged message must still hold what the loop
-        # held at its step, neither a live view nor a stale one
+        # both modes step one state (R or Z) in place: every logged
+        # message must still hold what the loop held at its step, not a
+        # live view of the state
         held = []
         iterate = eq.bcd_iterate
 

@@ -45,6 +45,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _cfg(**bad)
 
+    @pytest.mark.parametrize("name", ["snr_db", "iot_db", "Es"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scalars_raise(self, name, value):
+        # a NaN SNR or IoT ran a sweep of rows with ser 0.937 and mse nan
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            _cfg(**{name: value})
+
     def test_with_updates(self):
         cfg = _cfg().with_updates(snr_db=3.0)
         assert cfg.snr_db == 3.0
