@@ -16,11 +16,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from . import dbpnet
+from .equalizers import bcd_limit
 from .numerics import NumericsError
 from .scenario import (
     ConfigError,
@@ -45,9 +47,10 @@ class AlgoSpec:
     """One algorithm to benchmark, with its iteration/rank parameters.
 
     Only the settings its ``dbpnet.ALGORITHMS`` row names in ``params``
-    may be set. BCD runs ``T`` sweeps, or converges to ``tol``, or runs 4
-    sweeps if neither is given; bcd-lrd needs its rank ``r``. Invalid,
-    missing or unused values raise ConfigError.
+    may be set. A row that takes ``T`` checks ``T`` and ``tol`` with
+    :func:`dbpeq.equalizers.bcd_limit` and, without ``tol``, stores the
+    sweep count that rule gives as ``T``; bcd-lrd needs its rank ``r``.
+    Invalid, missing or unused values raise ConfigError.
     """
 
     name: str
@@ -64,12 +67,11 @@ class AlgoSpec:
         unused = [p for p in ("T", "tol", "r") if getattr(self, p) is not None and p not in takes]
         if unused:
             raise ConfigError(f"{self.name} does not take {unused}; it takes {list(takes)}")
-        if self.T is not None and self.tol is not None:
-            raise ConfigError("give a BCD sweep count T or a tolerance tol, not both")
-        if self.T is not None and self.T < 0:
-            raise ConfigError(f"BCD sweep count T must be >= 0, got {self.T}")
-        if self.tol is not None and not self.tol > 0:
-            raise ConfigError(f"BCD tolerance must be > 0, got {self.tol}")
+        if "T" in takes:  # without tol, the CSV shows the sweep count that ran
+            limit = bcd_limit(self.T, self.tol)
+            object.__setattr__(self, "T", self.T if self.tol is not None else limit)
+        if self.r is not None and (isinstance(self.r, bool) or not isinstance(self.r, Integral)):
+            raise ConfigError(f"LRD rank r must be an integer, got {self.r!r}")
         if self.r is not None and self.r < 1:
             raise ConfigError(f"LRD rank r must be >= 1, got {self.r}")
         if self.r is None and "r" in takes:
@@ -89,6 +91,9 @@ class RunSpec:
     workers: int = 1
 
     def __post_init__(self):
+        for what, n in (("trials", self.trials), ("workers", self.workers)):
+            if isinstance(n, bool) or not isinstance(n, Integral):
+                raise ConfigError(f"{what} must be an integer, got {n!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.snr_grid:
@@ -105,7 +110,8 @@ class RunSpec:
                 raise ConfigError(f"{what} {repeated[0]!r} is given twice")
 
 
-def default_algo(name: str, cfg: SystemConfig, T: int = 4, r: Optional[int] = None) -> AlgoSpec:
+def default_algo(name: str, cfg: SystemConfig, T: Optional[int] = None,
+                 r: Optional[int] = None) -> AlgoSpec:
     """The spec of ``name`` with the sweep count and rank (default n_interf) it takes."""
     row = dbpnet.ALGORITHMS.get(name)
     takes = row.params if row else ()

@@ -170,11 +170,6 @@ class Fabric:
     def C(self) -> int:
         return self.topology.C
 
-    @property
-    def active(self) -> Optional[int]:
-        """Id of the DU whose local scope is open, or None."""
-        return self._scope[0]
-
     def du(self, c: int) -> DuState:
         return self.dus[c]
 
@@ -407,14 +402,15 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     made at the first hop; symbols are accumulated in a final ring pass.
 
     The sweeps run in :func:`dbpeq.equalizers.bcd_iterate`, each block
-    step inside its DU's scope, under its one rule: ``tol`` runs converge
-    mode for at most ``max_sweeps`` sweeps, otherwise ``sweeps`` sweeps
-    run (4 if neither is given), and giving both raises ValueError.
+    step inside its DU's scope, for the sweeps that
+    :func:`dbpeq.equalizers.bcd_limit` gives ``sweeps``, ``tol`` and
+    ``max_sweeps``; a rejected rule raises before any message is sent.
     Either way the filter is bit-identical to
     :func:`dbpeq.equalizers.bcd_solve` run in the same mode.
     """
     if fabric.topology.kind != "daisy":
         raise TopologyError("BCD runs on the daisy-chain topology")
+    limit = eq.bcd_limit(sweeps, tol, max_sweeps)
     if r is not None:
         run_lrd_daisy(fabric, r)
 
@@ -433,7 +429,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
             w0 = hpd_solve(atot, du.cache["Q"])
             du.cache["W"] = w0
             part = w0 @ s
-            factors.append(eq.BcdBlockFactor(du.H, s, es, newton=tol is not None))
+            factors.append(eq.BcdBlockFactor(du.H, s, es))
         b_acc = part if b_acc is None else b_acc + part
         fabric.send("preprocessing", c, fabric.next_du(c), "gram_total", gram)
         fabric.send("preprocessing", c, fabric.next_du(c), "b_acc", b_acc)
@@ -455,7 +451,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
         send(phases[t], src, dst, "bcd_b", views[1])
 
     wb = [fabric.du(c).cache["W"] for c in ring]
-    n_sweeps = eq.bcd_iterate(factors, wb, z, sweeps, tol, max_sweeps,
+    n_sweeps = eq.bcd_iterate(factors, wb, z, limit, tol,
                               scopes=[fabric.local(c) for c in ring], after=pass_on)
     for c, w in zip(ring, wb):
         fabric.du(c).cache["W"] = w

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .numerics import (
     hpd_solve,
     truncated_svd,
 )
-from .scenario import sample_covariance
+from .scenario import ConfigError, sample_covariance
 
 
 @dataclass(frozen=True)
@@ -247,28 +248,29 @@ class BcdBlockFactor:
 
     Built once per realization from ``chol``, the lower Cholesky factor
     of the block Gram G_c. The fixed-sweep kernel :func:`bcd_sweep_step`
-    uses the factor and the Es-weighted conjugate transposes. With
-    ``newton=True`` the factor also holds the operators of the
-    converge-mode kernel :func:`bcd_newton_step`, in real form (see
-    :func:`_real_form`): ``x`` of X_c = [H_c | S_c] and ``p`` of -P_c,
-    P_c = [Es H_c^H ; S_c^H] G_c^-1. The per-sweep W and D buffers are
-    not here: :func:`bcd_iterate` owns them.
+    uses the factor and the Es-weighted conjugate transposes.
+    :meth:`newton` adds the operators of the converge-mode kernel
+    :func:`bcd_newton_step`, in real form (see :func:`_real_form`): ``x``
+    of X_c = [H_c | S_c] and ``p`` of -P_c, P_c = [Es H_c^H ; S_c^H] G_c^-1.
+    The per-sweep W and D buffers are not here: :func:`bcd_iterate` owns them.
     """
 
-    __slots__ = ("h", "s", "hh_es", "sh", "chol", "x", "p")
+    __slots__ = ("h", "s", "es", "hh_es", "sh", "chol", "x", "p")
 
-    def __init__(self, h_c: np.ndarray, samples_c: np.ndarray, es: float,
-                 newton: bool = False):
+    def __init__(self, h_c: np.ndarray, samples_c: np.ndarray, es: float):
         self.h = h_c
         self.s = samples_c
+        self.es = es
         self.hh_es = es * h_c.conj().T
         self.sh = samples_c.conj().T
         self.chol = hpd_factor(bcd_block_gram(h_c, samples_c, es))
-        if newton:
-            self.x = _real_form(np.hstack([h_c, samples_c]))
-            # G_c is Hermitian, so P_c = (G_c^-1 [Es H_c | S_c])^H
-            p = hpd_factor_solve(self.chol, np.hstack([es * h_c, samples_c])).conj().T
-            self.p = _real_form(-p)
+
+    def newton(self) -> None:
+        """Build ``x`` and ``p`` from this factor's own arrays."""
+        self.x = _real_form(np.hstack([self.h, self.s]))
+        # G_c is Hermitian, so P_c = (G_c^-1 [Es H_c | S_c])^H
+        p = hpd_factor_solve(self.chol, np.hstack([self.es * self.h, self.s])).conj().T
+        self.p = _real_form(-p)
 
 
 def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray) -> None:
@@ -297,27 +299,44 @@ def bcd_newton_step(block: BcdBlockFactor, r: np.ndarray, d: np.ndarray) -> None
     (``np.ascontiguousarray(r).view(np.float64)``) and ``d`` a
     C-contiguous float64 K x 2 M_c buffer. Since X_c P_c = I and
     P_c[:K] = [I | 0] P_c, the new block is W_c + D with
-    D = -R P_c: one real product on ``block.p`` (built with
-    ``newton=True``) writes D into ``d``, and R += D X_c updates ``r``
-    in place (the same bits as ``r + d.dot(block.x)``), leaving the add
-    to W_c to the caller. Rounding differs from :func:`bcd_sweep_step`
-    in the last bits.
+    D = -R P_c: one real product on ``block.p`` (see
+    :meth:`BcdBlockFactor.newton`) writes D into ``d``, and R += D X_c
+    updates ``r`` in place (the same bits as ``r + d.dot(block.x)``),
+    leaving the add to W_c to the caller. Rounding differs from
+    :func:`bcd_sweep_step` in the last bits.
     """
     r.dot(block.p, out=d)
     r += d.dot(block.x)
 
 
+def bcd_limit(sweeps: Optional[int] = None, tol: Optional[float] = None,
+              max_sweeps: int = 200) -> int:
+    """The sweeps BCD may run: ``max_sweeps`` with ``tol``, else ``sweeps`` (4 if None).
+
+    The one check of the rule: both given, a bool or non-integral count, a
+    non-real tol, ``sweeps < 0``, ``tol <= 0`` or ``max_sweeps < 1`` raise ConfigError.
+    """
+    for n in (sweeps, max_sweeps):
+        if n is not None and (isinstance(n, bool) or not isinstance(n, Integral)):
+            raise ConfigError(f"BCD sweep count must be an integer, got {n!r}")
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, Real)):
+        raise ConfigError(f"BCD tolerance must be a real number, got {tol!r}")
+    if sweeps is not None and tol is not None:
+        raise ConfigError("give a BCD sweep count or a tolerance tol, not both")
+    if (sweeps or 0) < 0 or (tol is not None and not tol > 0) or max_sweeps < 1:
+        raise ConfigError(f"need sweeps >= 0, tol > 0, max_sweeps >= 1; got "
+                          f"{sweeps}, {tol}, {max_sweeps}")
+    return max_sweeps if tol is not None else 4 if sweeps is None else sweeps
+
+
 def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
-                sweeps: Optional[int] = None, tol: Optional[float] = None,
-                max_sweeps: int = 200, scopes=None, after=None) -> int:
+                limit: int, tol: Optional[float] = None, scopes=None, after=None) -> int:
     """The one BCD sweep loop, shared by the library and the daisy protocol.
 
-    With ``tol`` it runs converge mode: :func:`bcd_newton_step` (the
-    ``factors`` built with ``newton=True``) until ||dW||_F^2 <=
-    tol^2 ||W||_F^2 over a sweep, or for ``max_sweeps`` sweeps.
-    Otherwise it runs ``sweeps`` sweeps (4 if not given) of
-    :func:`bcd_sweep_step`. Giving both, ``sweeps < 0``, ``tol <= 0`` or
-    ``max_sweeps < 1`` raises ValueError.
+    Runs at most ``limit`` sweeps (see :func:`bcd_limit`) of
+    :func:`bcd_sweep_step`, or with ``tol`` calls :meth:`BcdBlockFactor.newton`
+    on each factor and steps :func:`bcd_newton_step` until ||dW||_F^2 <=
+    tol^2 ||W||_F^2 over a sweep.
 
     ``wb`` holds the W blocks and ``z`` the starting Z = [A | B]; neither
     array is written. Both kernels follow one contract, ``step(factor,
@@ -334,14 +353,7 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     so ``after`` must copy what it keeps. On exit ``wb`` holds each block
     as its own complex128 array. Returns the number of sweeps run.
     """
-    if sweeps is not None and tol is not None:
-        raise ValueError("give sweeps or tol, not both")
-    if ((sweeps is not None and sweeps < 0) or (tol is not None and not tol > 0)
-            or max_sweeps < 1):
-        raise ValueError(f"need sweeps >= 0, tol > 0, max_sweeps >= 1; got "
-                         f"{sweeps}, {tol}, {max_sweeps}")
     converge = tol is not None
-    limit = max_sweeps if converge else 4 if sweeps is None else sweeps
     # looked up per call, so a replaced module attribute is honored
     step = bcd_newton_step if converge else bcd_sweep_step
     state = np.array(z, dtype=np.complex128)
@@ -350,6 +362,8 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     w_blocks = [w_all[a:e].reshape(shape) for a, e, shape in spans]
     live, slots = state, w_blocks
     if converge:
+        for factor in factors:
+            factor.newton()
         state -= np.eye(*state.shape)
         live = state.view(np.float64)
         tol2 = tol ** 2
@@ -408,20 +422,19 @@ def bcd_solve(h_blocks, noise_blocks, es: float, sweeps: Optional[int] = None,
               max_sweeps: int = 200) -> EqualizerResult:
     """Gauss-Seidel BCD over the per-cluster blocks of W, from the BDAC start.
 
-    Runs :func:`bcd_iterate` and follows its rule: ``tol`` converges
-    for at most ``max_sweeps`` sweeps, else ``sweeps`` sweeps run (4 if
-    neither is given); giving both raises ValueError. A converge-mode
+    Runs :func:`bcd_iterate` for the :func:`bcd_limit` of ``sweeps``,
+    ``tol`` and ``max_sweeps``, checked before any work. A converge-mode
     result is promised to ``tol``, not to the bits of a fixed-sweep run.
     Either mode is bit-identical to :func:`dbpeq.dbpnet.run_bcd_daisy`.
     ``sample_blocks`` substitutes the scaled pilot matrices (e.g. the
     low-rank G_c) in every sample term.
     """
+    limit = bcd_limit(sweeps, tol, max_sweeps)
     if sample_blocks is None:
         sample_blocks = [scaled_samples(nc) for nc in noise_blocks]
     wb, a, b = bdac_state(h_blocks, noise_blocks, sample_blocks, es)
-    factors = [BcdBlockFactor(hc, sc, es, newton=tol is not None)
-               for hc, sc in zip(h_blocks, sample_blocks)]
-    n_sweeps = bcd_iterate(factors, wb, np.hstack([a, b]), sweeps, tol, max_sweeps)
+    factors = [BcdBlockFactor(hc, sc, es) for hc, sc in zip(h_blocks, sample_blocks)]
+    n_sweeps = bcd_iterate(factors, wb, np.hstack([a, b]), limit, tol)
     return EqualizerResult(np.hstack(wb), n_sweeps)
 
 

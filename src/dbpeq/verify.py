@@ -21,8 +21,8 @@ from scipy.linalg import block_diag
 from . import dbpnet, equalizers as eq
 from .bench import default_algo
 from .numerics import truncated_svd
-from .scenario import (SystemConfig, derive_powers, gen_realization, gen_symbol_block,
-                       sample_covariance)
+from .scenario import (SystemConfig, _cn, derive_powers, gen_realization,
+                       gen_symbol_block, sample_covariance)
 
 
 @dataclass
@@ -34,10 +34,6 @@ class CheckResult:
 
 def _gap(x: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
-
-
-def _cn(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def check_bcd_convergence(cfg: SystemConfig, count: int) -> CheckResult:
@@ -66,8 +62,9 @@ def check_bcd_descent(cfg: SystemConfig, count: int) -> CheckResult:
         hb, nb = rz.H_blocks(), rz.noise_blocks()
         sb = [eq.scaled_samples(n) for n in nb]
         w0, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
-        fixed = [eq.BcdBlockFactor(h, s, cfg.Es) for h, s in zip(hb, sb)]
-        newton = [eq.BcdBlockFactor(h, s, cfg.Es, newton=True) for h, s in zip(hb, sb)]
+        factors = [eq.BcdBlockFactor(h, s, cfg.Es) for h, s in zip(hb, sb)]
+        for f in factors:
+            f.newton()
         d = [np.empty((cfg.K, 2 * h.shape[0])) for h in hb]
         for kernel in ("oracle", "fixed-sweep", "newton"):
             wb, z = [w.copy() for w in w0], np.hstack([a, b])
@@ -81,9 +78,9 @@ def check_bcd_descent(cfg: SystemConfig, count: int) -> CheckResult:
                         z += (w_new - wb[c]) @ np.hstack([h, s])
                         wb[c] = w_new
                     elif kernel == "fixed-sweep":  # steps z, writes W_c into wb[c]
-                        eq.bcd_sweep_step(fixed[c], z, wb[c])
+                        eq.bcd_sweep_step(factors[c], z, wb[c])
                     else:  # steps z, writes D into d[c]
-                        eq.bcd_newton_step(newton[c], z, d[c])
+                        eq.bcd_newton_step(factors[c], z, d[c])
                         wb[c] += d[c].view(np.complex128)
                     obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, cfg.Es)
                     violations += obj > prev + 1e-12

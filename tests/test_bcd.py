@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg.lapack import zpotrs
 
 from dbpeq import equalizers as eq
-from dbpeq.scenario import SystemConfig, gen_realization, sample_covariance
+from dbpeq.scenario import ConfigError, SystemConfig, gen_realization, sample_covariance
 
 
 def _real(a):
@@ -30,7 +30,8 @@ def _converge_per_block(factors, wb, z, tol, max_sweeps):
     The loop as it ran before one W update and one stopping sum per
     sweep replaced it; the additions to W are the same, so W must come
     out bit-identical. Like the loop it steps on R = [A - I | B], formed
-    from the starting ``z`` = [A | B]. Returns (complex W blocks, sweeps run).
+    from the starting ``z`` = [A | B], with the operators that
+    ``factor.newton()`` has built. Returns (complex W blocks, sweeps run).
     """
     z = _real(_residual(z))
     wb = [_real(w) for w in wb]
@@ -136,7 +137,8 @@ class TestBlockUpdate:
         hb, nb = rz.H_blocks(), rz.noise_blocks()
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
-        blk = eq.BcdBlockFactor(hb[0], sb[0], 1.0, newton=True)
+        blk = eq.BcdBlockFactor(hb[0], sb[0], 1.0)
+        blk.newton()
         # the kernel steps on the float64 view of R = [A - I | B], writes
         # D into the block's buffer and leaves W_c + D to its caller
         d = np.empty((4, 2 * hb[0].shape[0]))
@@ -186,8 +188,9 @@ class TestDescent:
             hb, nb = rz.H_blocks(), rz.noise_blocks()
             sb = [eq.scaled_samples(n) for n in nb]
             wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
-            blocks = [eq.BcdBlockFactor(h, s, 1.0, newton=True)
-                      for h, s in zip(hb, sb)]
+            blocks = [eq.BcdBlockFactor(h, s, 1.0) for h, s in zip(hb, sb)]
+            for blk in blocks:
+                blk.newton()
             z = _real(_residual(np.hstack([a, b])))
             d = [np.empty((4, 2 * h.shape[0])) for h in hb]
             prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
@@ -225,12 +228,12 @@ class TestConvergence:
         k = cfg.K
         wb = [np.zeros((k, h.shape[0]), dtype=np.complex128) for h in hb]
         z = np.zeros((k, k + sb[0].shape[1]), dtype=np.complex128)
-        factors = [eq.BcdBlockFactor(h, s, 1.0, newton=True) for h, s in zip(hb, sb)]
-        eq.bcd_iterate(factors, wb, z, tol=1e-12, max_sweeps=50000)
+        factors = [eq.BcdBlockFactor(h, s, 1.0) for h, s in zip(hb, sb)]
+        eq.bcd_iterate(factors, wb, z, 50000, tol=1e-12)
         np.testing.assert_allclose(r1.W, np.hstack(wb), atol=1e-7)
         # a float64 start, as np.zeros gives without a dtype, is cast on entry
         wb = [np.zeros((k, h.shape[0])) for h in hb]
-        eq.bcd_iterate(factors, wb, np.zeros(z.shape), tol=1e-12, max_sweeps=50000)
+        eq.bcd_iterate(factors, wb, np.zeros(z.shape), 50000, tol=1e-12)
         np.testing.assert_allclose(r1.W, np.hstack(wb), atol=1e-7)
 
     def test_matches_per_block_reference_loop(self):
@@ -241,8 +244,9 @@ class TestConvergence:
             hb, nb = rz.H_blocks(), rz.noise_blocks()
             sb = [eq.scaled_samples(n) for n in nb]
             wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
-            factors = [eq.BcdBlockFactor(h, s, cfg.Es, newton=True)
-                       for h, s in zip(hb, sb)]
+            factors = [eq.BcdBlockFactor(h, s, cfg.Es) for h, s in zip(hb, sb)]
+            for f in factors:
+                f.newton()
             w_ref, n_ref = _converge_per_block(factors, wb, np.hstack([a, b]),
                                                1e-12, max_sweeps)
             res = eq.bcd_solve(hb, nb, cfg.Es, tol=1e-12, max_sweeps=max_sweeps)
@@ -264,7 +268,7 @@ class TestConvergence:
             np.testing.assert_array_equal(res.W, np.hstack(w_ref))
             assert res.iterations == sweeps
 
-    @pytest.mark.parametrize("mode", [dict(tol=1e-8, max_sweeps=30), dict(sweeps=3)])
+    @pytest.mark.parametrize("mode", [dict(limit=30, tol=1e-8), dict(limit=3)])
     def test_one_live_state_and_untouched_inputs(self, mode):
         # both modes step one state in place, so ``after`` gets the same
         # array at every step; the caller's Z and W blocks are never written
@@ -273,8 +277,7 @@ class TestConvergence:
         hb, nb = rz.H_blocks(), rz.noise_blocks()
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
-        factors = [eq.BcdBlockFactor(h, s, cfg.Es, newton="tol" in mode)
-                   for h, s in zip(hb, sb)]
+        factors = [eq.BcdBlockFactor(h, s, cfg.Es) for h, s in zip(hb, sb)]
         z, w_in = np.hstack([a, b]), list(wb)
         z_copy, w_copies = z.copy(), [w.copy() for w in wb]
         seen = []
@@ -294,8 +297,7 @@ class TestConvergence:
         hb, nb = rz.H_blocks(), rz.noise_blocks()
         sb = [eq.scaled_samples(n) for n in nb]
         wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
-        factors = [eq.BcdBlockFactor(h, s, cfg.Es, newton=True)
-                   for h, s in zip(hb, sb)]
+        factors = [eq.BcdBlockFactor(h, s, cfg.Es) for h, s in zip(hb, sb)]
         seen = {}
 
         def after(t, i, r):
@@ -303,8 +305,8 @@ class TestConvergence:
             seen["steps"] = seen.get("steps", 0) + 1
             seen["r"] = r.copy()
 
-        sweeps = eq.bcd_iterate(factors, wb, np.hstack([a, b]), tol=1e-12,
-                                max_sweeps=50000, after=after)
+        sweeps = eq.bcd_iterate(factors, wb, np.hstack([a, b]), 50000, tol=1e-12,
+                                after=after)
         assert sweeps > 1000 and seen["steps"] == 4 * sweeps
         r_true = _residual(np.hstack(wb) @ np.hstack([rz.H, np.vstack(sb)]))
         np.testing.assert_allclose(seen["r"], r_true, rtol=0, atol=1e-12)
@@ -332,6 +334,40 @@ class TestConvergence:
             res = eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), 1.0,
                                sweeps=sweeps)
             assert eq.objective_sample(res.W, rz.H, rz.noise, 1.0) >= f_star - 1e-12
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("kw, limit", [
+        (dict(), 4), (dict(sweeps=0), 0), (dict(sweeps=7), 7),
+        (dict(tol=1e-3), 200), (dict(tol=1e-3, max_sweeps=9), 9),
+        (dict(sweeps=3, max_sweeps=1), 3),
+    ])
+    def test_limit_follows_the_rule(self, kw, limit):
+        assert eq.bcd_limit(**kw) == limit
+
+    @pytest.mark.parametrize("kw", [
+        dict(sweeps=2, tol=1e-3), dict(sweeps=-1), dict(tol=0.0), dict(tol=-1.0),
+        dict(tol=float("nan")), dict(max_sweeps=0), dict(sweeps=True), dict(sweeps=2.0),
+        dict(tol="1e-3"), dict(tol=True), dict(tol=1e-3, max_sweeps=10.5),
+    ])
+    def test_bad_rule_raises_config_error(self, kw):
+        with pytest.raises(ConfigError):
+            eq.bcd_limit(**kw)
+
+    def test_converge_mode_runs_on_plain_factors(self):
+        # the loop builds the converge-mode operators itself; factors made
+        # for fixed mode used to fail with AttributeError: no attribute 'p'
+        cfg = _cfg(seed=11)
+        rz = gen_realization(cfg, 0)
+        hb, nb = rz.H_blocks(), rz.noise_blocks()
+        sb = [eq.scaled_samples(n) for n in nb]
+        wb, a, b = eq.bdac_state(hb, nb, sb, cfg.Es)
+        factors = [eq.BcdBlockFactor(h, s, cfg.Es) for h, s in zip(hb, sb)]
+        eq.bcd_iterate(factors, wb[:], np.hstack([a, b]), 2)  # they serve fixed mode first
+        sweeps = eq.bcd_iterate(factors, wb, np.hstack([a, b]), 5000, tol=1e-8)
+        res = eq.bcd_solve(hb, nb, cfg.Es, tol=1e-8, max_sweeps=5000)
+        np.testing.assert_array_equal(np.hstack(wb), res.W)
+        assert sweeps == res.iterations < 5000
 
 
 class TestLrdIntegration:

@@ -1,8 +1,10 @@
 """Monte-Carlo harness: determinism, failure policy, ordering test."""
 
+from fractions import Fraction
+
 import pytest
 
-from dbpeq import bench
+from dbpeq import bench, dbpnet
 from dbpeq.bench import AlgoSpec, InsufficientErrors, RunSpec, SerReport
 from dbpeq.scenario import ConfigError, SystemConfig
 
@@ -77,6 +79,24 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="snr_db must be finite"):
             _spec(snr_grid=(0.0, float("nan")))
 
+    @pytest.mark.parametrize("name, kw", [
+        ("bcd", dict(T=True)), ("bcd", dict(T=2.5)), ("bcd", dict(tol="1e-3")),
+        ("bcd", dict(tol=True)), ("bcd-lrd", dict(r=2.5, T=1)),
+        ("bcd-lrd", dict(r=True, T=1)),
+    ])
+    def test_algospec_rejects_non_integral_settings(self, name, kw):
+        # T=True wrote True in the CSV; T=2.5, tol="1e-3" and r=2.5 raised
+        # a TypeError from inside run_sweep
+        with pytest.raises(ConfigError, match="must be an? (integer|real number)"):
+            AlgoSpec(name, **kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(trials=2.5), dict(trials=True), dict(workers=1.5), dict(workers=True),
+    ])
+    def test_runspec_rejects_non_integral_counts(self, kw):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            _spec(**kw)
+
     def test_default_algo_fills_lrd_rank(self):
         cfg = _cfg()
         a = bench.default_algo("bcd-lrd", cfg, T=3)
@@ -84,6 +104,18 @@ class TestSpecs:
 
 
 class TestRunSweep:
+    def test_default_bcd_row_shows_the_sweeps_it_ran(self):
+        # AlgoSpec("bcd") ran 4 sweeps but wrote an empty T, and its
+        # closed-form entries raised a TypeError on T=None
+        cfg, spec = _cfg(), AlgoSpec("bcd")
+        assert spec.T == 4 and bench.default_algo("bcd", cfg).T == 4
+        report = bench.run_sweep(_spec(algorithms=(spec,), snr_grid=(10.0,), trials=1))
+        row = report.row("bcd", 10.0)
+        assert row["T"] == 4
+        assert report.to_csv().splitlines()[1].startswith("bcd,10.0,10.0,16,4,4,64,4,,")
+        entries = dbpnet.ALGORITHMS["bcd"].entries(cfg, spec)
+        assert entries == row["avg_entries_per_symbol"] == Fraction(784, 3)
+
     def test_report_shape_and_csv(self, tmp_path):
         spec = _spec(tmp_path)
         report = bench.run_sweep(spec)

@@ -11,6 +11,7 @@ from dbpeq import bench, dbpnet, equalizers as eq
 from dbpeq.dbpnet import CU, OUT, LocalityError, TopologyError
 from dbpeq.numerics import ShapeMismatch
 from dbpeq.scenario import (
+    ConfigError,
     SystemConfig,
     gen_realization,
     gen_symbol_block,
@@ -127,17 +128,17 @@ class TestLocality:
                 with fab.local(2) as du:
                     assert du is fab.du(2)
                     _ = 1 / 0
-            assert fab.active == 1
+            assert fab._scope[0] == 1
             with pytest.raises(LocalityError):
                 _ = fab.du(2).H
-        assert fab.active is None
+        assert fab._scope[0] is None
 
     @staticmethod
     def _snoop(monkeypatch, fab, name):
         step = getattr(eq, name)
 
         def snooping_step(factor, z, w_c):
-            own = fab.active
+            own = fab._scope[0]
             assert own is not None
             _ = fab.du(own).H        # own data is fine
             _ = fab.du(own % fab.C + 1).H
@@ -400,6 +401,18 @@ class TestProtocolEquivalence:
             eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), 1.0, **mode)
         with pytest.raises(ValueError):
             dbpnet.run_bcd_daisy(fab, 1.0, **mode)
+
+    @pytest.mark.parametrize("r", [None, 4])
+    @pytest.mark.parametrize("mode", [dict(sweeps=-1), dict(sweeps=2, tol=1e-3),
+                                      dict(tol=0.0), dict(sweeps=2.5)])
+    def test_rejected_bcd_rule_sends_nothing(self, mode, r):
+        # the rule used to be checked after the LRD relay and both
+        # preprocessing passes had sent 4,160 entries and filled the caches
+        fab, _, _ = _fabric(_cfg(M=16, N=64, n_coh=48), kind="daisy", record_log=True)
+        with pytest.raises(ConfigError):
+            dbpnet.run_bcd_daisy(fab, 1.0, r=r, **mode)
+        assert fab.ledger.total == 0 and fab.log == []
+        assert all(du.cache == {} for du in fab.dus.values())
 
     def test_bcd_requires_daisy(self):
         fab, _, _ = _fabric(_cfg(), kind="star")
