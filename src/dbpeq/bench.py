@@ -23,7 +23,6 @@ import numpy as np
 
 from . import dbpnet
 from .equalizers import bcd_limit
-from .numerics import NumericsError
 from .scenario import (
     ConfigError,
     SystemConfig,
@@ -94,8 +93,8 @@ class RunSpec:
         for what, n in (("trials", self.trials), ("workers", self.workers)):
             if isinstance(n, bool) or not isinstance(n, Integral):
                 raise ConfigError(f"{what} must be an integer, got {n!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+            if n < 1:
+                raise ConfigError(f"{what} must be >= 1, got {n}")
         if not self.snr_grid:
             raise ConfigError("snr grid must be non-empty")
         if not self.algorithms:
@@ -128,21 +127,19 @@ def _run_trial(spec: RunSpec, trial: int) -> dict:
         block = gen_symbol_block(cfg, realization, trial)
         for algo in spec.algorithms:
             t0 = time.perf_counter() if spec.timing else 0.0
-            try:
-                shat, fabric = dbpnet.run_cell(algo, realization, block.Y, cfg)
-            except NumericsError as exc:
-                out[(algo.label, snr)] = {"fail": True,
-                                          "error": f"{type(exc).__name__}: {exc}"}
+            cell = dbpnet.run_cell(algo, realization, block.Y, cfg)
+            if cell.error:
+                out[(algo.label, snr)] = {"error": cell.error}
                 continue
             elapsed = time.perf_counter() - t0 if spec.timing else 0.0
-            detected = slice_symbols(shat, cfg.modulation, cfg.Es)
+            detected = slice_symbols(cell.shat, cfg.modulation, cfg.Es)
             errors = int(np.sum(detected != block.S))
             out[(algo.label, snr)] = {
-                "fail": False,
+                "error": None,
                 "errors": errors,
                 "symbols": block.S.size,
-                "se_sum": float(np.sum(np.abs(shat - block.S) ** 2)),
-                "bandwidth": fabric.ledger.per_symbol_average(),
+                "se_sum": float(np.sum(np.abs(cell.shat - block.S) ** 2)),
+                "bandwidth": cell.fabric.ledger.per_symbol_average(),
                 "wallclock": elapsed,
             }
     return out
@@ -156,7 +153,7 @@ def _worker_count(spec: RunSpec) -> int:
             n = min(n, max(1, int(cap)))
         except ValueError:
             raise ConfigError(f"DBP_EQ_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(n, spec.trials))
+    return min(n, spec.trials)
 
 
 @dataclass
@@ -211,7 +208,7 @@ def run_sweep(spec: RunSpec) -> SerReport:
                 "M": cfg.M, "C": cfg.C, "K": cfg.K, "N": cfg.N,
                 "T": algo.T, "r": algo.r,
             }
-            failed = [c["error"] for c in cells if c["fail"]]
+            failed = [c["error"] for c in cells if c["error"]]
             if failed:  # ``error``, not a CSV field, is the first failed trial's reason
                 base.update(ser="FAIL", mse="FAIL",
                             avg_entries_per_symbol=None, wallclock_s=0.0,

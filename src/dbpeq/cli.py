@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from . import bench, dbpnet, verify
 from .bench import ALGORITHMS, RunSpec, default_algo
-from .numerics import NumericsError
 from .scenario import (CHANNEL_MODELS, MODULATIONS, ConfigError, SystemConfig,
                        gen_realization, gen_symbol_block)
 
@@ -142,17 +141,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     # the sweep runs first, so a config error it raises leaves no file behind
     try:
         report = bench.run_sweep(spec)
-    except ConfigError as exc:
+        if args.dump_config:
+            dump = {k: v for k, v in settings.items() if v is not None}
+            with open(args.dump_config, "w", encoding="utf-8") as fh:
+                json.dump(dump, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        if args.dump_messages:
+            _dump_messages(spec, args.dump_messages)
+    except (OSError, ConfigError) as exc:  # OSError: an output path cannot be written
         return _fail_config(str(exc))
-
-    if args.dump_config:
-        dump = {k: v for k, v in settings.items() if v is not None}
-        with open(args.dump_config, "w", encoding="utf-8") as fh:
-            json.dump(dump, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    if args.dump_messages:
-        _dump_messages(spec, args.dump_messages)
 
     failed = [row for row in report.rows if row["ser"] == "FAIL"]
     for row in failed:
@@ -174,12 +171,8 @@ def _dump_messages(spec: RunSpec, path: str) -> None:
     lines = []
     for algo in spec.algorithms:
         lines.append(f"# algorithm={algo.label}")
-        try:
-            _, fab = dbpnet.run_cell(algo, rz, block.Y, cfg, record_log=True)
-        except NumericsError as exc:
-            lines.append(f"# FAIL {type(exc).__name__}: {exc}")
-            continue
-        lines.append(fab.dump_log())
+        cell = dbpnet.run_cell(algo, rz, block.Y, cfg, record_log=True)
+        lines.append(f"# FAIL {cell.error}" if cell.error else cell.fabric.dump_log())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -219,23 +212,20 @@ def cmd_bandwidth(args: argparse.Namespace) -> int:
     ok = True
     for algo in spec.algorithms:
         want = dbpnet.ALGORITHMS[algo.name].entries(cfg, algo)
-        try:
-            _, fab = dbpnet.run_cell(algo, rz, block.Y, cfg)
-        except NumericsError as exc:
+        cell = dbpnet.run_cell(algo, rz, block.Y, cfg)
+        if cell.error:
             ok = False
-            print(f"{algo.name:<12} {_fmt_frac(want):>14} {'FAIL':>14} "
-                  f"{type(exc).__name__}: {exc}")
+            print(f"{algo.name:<12} {_fmt_frac(want):>14} {'FAIL':>14} {cell.error}")
             continue
-        got = fab.ledger.per_symbol_average()
+        got = cell.fabric.ledger.per_symbol_average()
         ok &= got == want
         print(f"{algo.name:<12} {_fmt_frac(want):>14} {_fmt_frac(got):>14} "
               f"{'yes' if got == want else 'NO':>6}")
         # the note's figures are for the bcd-lrd rank, so only a row that ran has them
         if algo is lrd:
             aggregate = dbpnet.formula_bcd_lrd_aggregate(c, m, k, n, t, r, ncoh)
-            ledger = dbpnet.formula_bcd_lrd_ledger(rz.partition.sizes, k, n, t, r, ncoh)
             print(f"note: bcd-lrd aggregate closed form {_fmt_frac(aggregate)} exceeds "
-                  f"the itemized schedule by {_fmt_frac(aggregate - ledger)} "
+                  f"the itemized schedule by {_fmt_frac(aggregate - want)} "
                   f"({2 * n * r}/{ncoh} per symbol); the ledger follows the itemized schedule")
     return 0 if ok else 1
 

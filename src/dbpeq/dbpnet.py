@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import equalizers as eq
-from .numerics import RankOutOfRange, ShapeMismatch, hermitize, hpd_solve
+from .numerics import NumericsError, RankOutOfRange, ShapeMismatch, hermitize, hpd_solve
 from .scenario import Realization, balanced_partition, sample_covariance
 
 CU = -1          # central unit id (star topology)
@@ -553,7 +553,7 @@ class Algorithm(NamedTuple):
     """Where one equalizer runs, how, and what it costs on the fabric.
 
     ``run(fabric, es, spec)`` runs the protocol on a ``topology`` fabric
-    and returns the symbol estimates; ``spec`` is a
+    and returns its ``(EqualizerResult, estimates)``; ``spec`` is a
     :class:`dbpeq.bench.AlgoSpec`, which may set only the ones of ``T``,
     ``tol`` and ``r`` named in ``params``. ``entries(cfg, spec)`` is the
     exact per-symbol ledger of a fixed-schedule run.
@@ -565,47 +565,58 @@ class Algorithm(NamedTuple):
     params: tuple[str, ...] = ()
 
 
-def _bcd_symbols(fabric: Fabric, es: float, spec) -> np.ndarray:
+def _run_bcd(fabric: Fabric, es: float, spec) -> tuple[eq.EqualizerResult, np.ndarray]:
     return run_bcd_daisy(fabric, es, sweeps=spec.T, tol=spec.tol, r=spec.r,
-                         max_sweeps=10000)[1]
+                         max_sweeps=10000)
 
 
 # Rows call the protocols and formulas by their module-level names, never
 # through function objects bound here, so a replaced name is honored.
 ALGORITHMS: dict[str, Algorithm] = {
     "zf": Algorithm(
-        "star", lambda f, es, a: run_centralized(f, es, _zf)[1],
+        "star", lambda f, es, a: run_centralized(f, es, _zf),
         lambda cfg, a: formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh)),
     "lmmse": Algorithm(
-        "star", lambda f, es, a: run_centralized(f, es, _lmmse)[1],
+        "star", lambda f, es, a: run_centralized(f, es, _lmmse),
         lambda cfg, a: formula_centralized(cfg.M, cfg.K, cfg.N, cfg.n_coh)),
     "bdac": Algorithm(
-        "star", lambda f, es, a: run_bdac(f, es)[1],
+        "star", lambda f, es, a: run_bdac(f, es),
         lambda cfg, a: formula_bdac(cfg.C, cfg.K, cfg.n_coh)),
     "sdr": Algorithm(
-        "star", lambda f, es, a: run_sdr_star(f, es)[1],
+        "star", lambda f, es, a: run_sdr_star(f, es),
         lambda cfg, a: formula_dr(cfg.C, cfg.K, cfg.N, cfg.n_coh)),
     "cdr": Algorithm(
-        "star", lambda f, es, a: run_cdr_star(f, es)[1],
+        "star", lambda f, es, a: run_cdr_star(f, es),
         lambda cfg, a: formula_dr(cfg.C, cfg.K, cfg.N, cfg.n_coh)),
     "bcd": Algorithm(
-        "daisy", _bcd_symbols,
+        "daisy", _run_bcd,
         lambda cfg, a: formula_bcd(cfg.C, cfg.K, cfg.N, a.T, cfg.n_coh), ("T", "tol")),
     "bcd-lrd": Algorithm(
-        "daisy", _bcd_symbols,
+        "daisy", _run_bcd,
         lambda cfg, a: formula_bcd_lrd_ledger(balanced_partition(cfg.M, cfg.C).sizes,
                                               cfg.K, cfg.N, a.T, a.r, cfg.n_coh),
         ("T", "tol", "r")),
 }
 
 
-def run_cell(spec, realization: Realization, y: np.ndarray, cfg,
-             record_log: bool = False) -> tuple[np.ndarray, Fabric]:
-    """Run the row of ``spec`` (an AlgoSpec) on a new fabric; returns (estimates, fabric).
+class Cell(NamedTuple):
+    """One run of a row: its fabric, and its estimates or, if it failed, why."""
 
-    Built by the module-level ``make_fabric``, so a replaced name sees every cell.
-    """
+    fabric: Fabric
+    shat: Optional[np.ndarray]
+    error: Optional[str]  # None, or "<class>: <message>" of the NumericsError
+
+
+def run_cell(spec, realization: Realization, y: np.ndarray, cfg,
+             record_log: bool = False) -> Cell:
+    """Run the row of ``spec`` (an AlgoSpec) on a new fabric built by the module-level
+    ``make_fabric``, so a replaced name sees every cell. The one place where a
+    NumericsError becomes a FAIL: the Cell's ``error``, instead of being raised."""
     row = ALGORITHMS[spec.name]
     fabric = make_fabric(realization, y, row.topology, n_coh=cfg.n_coh,
                          record_log=record_log)
-    return row.run(fabric, cfg.Es, spec), fabric
+    try:
+        _, shat = row.run(fabric, cfg.Es, spec)
+    except NumericsError as exc:
+        return Cell(fabric, None, f"{type(exc).__name__}: {exc}")
+    return Cell(fabric, shat, None)

@@ -203,7 +203,8 @@ def check_ledger_formulas(cfg: SystemConfig, grid) -> CheckResult:
         y = gen_symbol_block(cfg_g, rz, 0).Y
         for name, row in dbpnet.ALGORITHMS.items():
             algo = default_algo(name, cfg_g, T=t, r=r)
-            got = dbpnet.run_cell(algo, rz, y, cfg_g)[1].ledger.per_symbol_average()
+            cell = dbpnet.run_cell(algo, rz, y, cfg_g)
+            got = cell.error or cell.fabric.ledger.per_symbol_average()  # a FAIL says why
             want = row.entries(cfg_g, algo)
             if got != want:
                 mismatches.append((m, k, c, n, name, got, want))

@@ -58,6 +58,10 @@ class TestSpecs:
     def test_runspec_validation(self):
         with pytest.raises(ValueError):
             _spec(trials=0)
+        # a run with workers 0 or -3 used to go ahead on one worker
+        for workers in (0, -3):
+            with pytest.raises(ConfigError, match="workers must be >= 1"):
+                _spec(workers=workers)
         with pytest.raises(ValueError):
             _spec(snr_grid=())
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dbpeq import cli, dbpnet, equalizers, verify
+from dbpeq.scenario import SystemConfig
 
 
 def _run(argv):
@@ -202,6 +203,9 @@ class TestRun:
         pytest.param([], {**DESK, "M": 16.9}, id="fractional-M"),
         pytest.param([], {**DESK, "trials": 1.5}, id="fractional-trials"),
         pytest.param([], {**DESK, "seed": True}, id="boolean-seed"),
+        # each of these ran a sweep (exit 0) on one worker
+        pytest.param([*DESK_FLAGS, "--workers", "0"], None, id="no-workers"),
+        pytest.param([*DESK_FLAGS, "--workers", "-3"], None, id="negative-workers"),
     ])
     def test_bad_sweep_settings_exit_2(self, tmp_path, capsys, flags, config):
         argv = ["run", *flags, "--out", str(tmp_path / "r.csv")]
@@ -211,6 +215,15 @@ class TestRun:
         assert _run(argv) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-config", "--dump-messages"])
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, flag):
+        # each ended in a FileNotFoundError traceback after the whole sweep
+        path = str(tmp_path / "missing" / "file")
+        argv = ["run", *DESK_FLAGS, "--out", str(tmp_path / "r.csv"), flag, path]
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and path in err
 
     # the ridge fallback warns on the one-antenna clusters of C = M
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -247,6 +260,16 @@ class TestVerify:
         code = _run(["verify", "--filter", "ledger"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    # lmmse's sample covariance is singular at N = 8 < M, so the ridge fallback warns
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ledger_check_reports_a_failing_row(self):
+        # cdr's compressed covariance has rank N = 8 < C*K = 16; the check raised
+        # NotPositiveDefinite instead of reporting the row
+        res = verify.check_ledger_formulas(SystemConfig(M=32, K=4, C=4, N=64),
+                                           [(16, 4, 4, 8, 48, 1, 4)])
+        assert not res.passed
+        assert "'cdr', 'NotPositiveDefinite: " in res.detail
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ledger_check_passes_untampered(self, capsys):

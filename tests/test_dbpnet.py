@@ -27,11 +27,12 @@ def _cfg(**kw):
 
 
 def _cell(cfg, algo, record_log=False):
-    """dbpnet.run_cell on trial 0: (estimates, fabric, realization, block)."""
+    """dbpnet.run_cell on trial 0, which must not fail: (estimates, fabric, realization, block)."""
     rz = gen_realization(cfg, 0)
     blk = gen_symbol_block(cfg, rz, 0)
-    shat, fab = dbpnet.run_cell(algo, rz, blk.Y, cfg, record_log=record_log)
-    return shat, fab, rz, blk
+    cell = dbpnet.run_cell(algo, rz, blk.Y, cfg, record_log=record_log)
+    assert cell.error is None
+    return cell.shat, cell.fabric, rz, blk
 
 
 def _fabric(cfg, trial=0, kind="star", record_log=False):
