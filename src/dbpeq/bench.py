@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -29,6 +28,7 @@ from .scenario import (
     gen_realization,
     gen_symbol_block,
     slice_symbols,
+    whole_number,
 )
 
 ALGORITHMS = tuple(dbpnet.ALGORITHMS)
@@ -69,11 +69,9 @@ class AlgoSpec:
         if "T" in takes:  # without tol, the CSV shows the sweep count that ran
             limit = bcd_limit(self.T, self.tol)
             object.__setattr__(self, "T", self.T if self.tol is not None else limit)
-        if self.r is not None and (isinstance(self.r, bool) or not isinstance(self.r, Integral)):
-            raise ConfigError(f"LRD rank r must be an integer, got {self.r!r}")
-        if self.r is not None and self.r < 1:
-            raise ConfigError(f"LRD rank r must be >= 1, got {self.r}")
-        if self.r is None and "r" in takes:
+        if self.r is not None:
+            whole_number("LRD rank r", self.r, 1)
+        elif "r" in takes:
             raise ConfigError(f"{self.name} needs an LRD rank r")
         if not self.label:
             object.__setattr__(self, "label", self.name)
@@ -85,16 +83,12 @@ class RunSpec:
     algorithms: tuple[AlgoSpec, ...]
     snr_grid: tuple[float, ...]
     trials: int = 50
-    out_path: Optional[str] = None
     timing: bool = False
     workers: int = 1
 
     def __post_init__(self):
-        for what, n in (("trials", self.trials), ("workers", self.workers)):
-            if isinstance(n, bool) or not isinstance(n, Integral):
-                raise ConfigError(f"{what} must be an integer, got {n!r}")
-            if n < 1:
-                raise ConfigError(f"{what} must be >= 1, got {n}")
+        whole_number("trials", self.trials, 1)
+        whole_number("workers", self.workers, 1)
         if not self.snr_grid:
             raise ConfigError("snr grid must be non-empty")
         if not self.algorithms:
@@ -119,7 +113,8 @@ def default_algo(name: str, cfg: SystemConfig, T: Optional[int] = None,
 
 
 def _run_trial(spec: RunSpec, trial: int) -> dict:
-    """All (snr, algorithm) cells for one trial. Pure in (spec, trial)."""
+    """All (label, snr) cells of one trial, pure in (spec, trial): the failed Cell's
+    error, or (symbol errors, squared-error sum, entries per symbol, seconds)."""
     out = {}
     for snr in spec.snr_grid:
         cfg = spec.cfg.with_updates(snr_db=snr)
@@ -128,20 +123,14 @@ def _run_trial(spec: RunSpec, trial: int) -> dict:
         for algo in spec.algorithms:
             t0 = time.perf_counter() if spec.timing else 0.0
             cell = dbpnet.run_cell(algo, realization, block.Y, cfg)
+            seconds = time.perf_counter() - t0 if spec.timing else 0.0
             if cell.error:
-                out[(algo.label, snr)] = {"error": cell.error}
+                out[(algo.label, snr)] = cell.error
                 continue
-            elapsed = time.perf_counter() - t0 if spec.timing else 0.0
             detected = slice_symbols(cell.shat, cfg.modulation, cfg.Es)
-            errors = int(np.sum(detected != block.S))
-            out[(algo.label, snr)] = {
-                "error": None,
-                "errors": errors,
-                "symbols": block.S.size,
-                "se_sum": float(np.sum(np.abs(cell.shat - block.S) ** 2)),
-                "bandwidth": cell.fabric.ledger.per_symbol_average(),
-                "wallclock": elapsed,
-            }
+            out[(algo.label, snr)] = (int(np.sum(detected != block.S)),
+                                      float(np.sum(np.abs(cell.shat - block.S) ** 2)),
+                                      cell.fabric.ledger.per_symbol_average(), seconds)
     return out
 
 
@@ -180,15 +169,16 @@ class SerReport:
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, Fraction):
+    if isinstance(v, (Fraction, float)):
         return repr(float(v))
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
 def run_sweep(spec: RunSpec) -> SerReport:
-    """Execute the Monte-Carlo sweep; deterministic for a fixed cfg.seed."""
+    """Execute the Monte-Carlo sweep; deterministic for a fixed cfg.seed.
+
+    Writes no file: the caller writes the report's ``to_csv()``.
+    """
     workers = _worker_count(spec)
     args = ([spec] * spec.trials, range(spec.trials))
     if workers <= 1:
@@ -200,37 +190,27 @@ def run_sweep(spec: RunSpec) -> SerReport:
 
     report = SerReport()
     cfg = spec.cfg
+    symbols = spec.trials * cfg.K * cfg.n_coh
     for algo in spec.algorithms:
         for snr in spec.snr_grid:
             cells = [res[(algo.label, snr)] for res in per_trial]
-            base = {
+            row = {
                 "algorithm": algo.label, "snr_db": snr, "iot_db": cfg.iot_db,
                 "M": cfg.M, "C": cfg.C, "K": cfg.K, "N": cfg.N,
                 "T": algo.T, "r": algo.r,
             }
-            failed = [c["error"] for c in cells if c["error"]]
+            failed = [c for c in cells if isinstance(c, str)]
             if failed:  # ``error``, not a CSV field, is the first failed trial's reason
-                base.update(ser="FAIL", mse="FAIL",
-                            avg_entries_per_symbol=None, wallclock_s=0.0,
-                            errors=None, symbols=None, error=failed[0])
-            else:
-                errors = sum(c["errors"] for c in cells)
-                symbols = sum(c["symbols"] for c in cells)
-                se_sum = sum(c["se_sum"] for c in cells)
-                base.update(
-                    ser=errors / symbols,
-                    mse=se_sum / symbols,
-                    avg_entries_per_symbol=sum(
-                        (c["bandwidth"] for c in cells), Fraction(0)) / len(cells),
-                    wallclock_s=sum(c["wallclock"] for c in cells),
-                    errors=errors,
-                    symbols=symbols,
-                )
-            report.rows.append(base)
+                row.update(ser="FAIL", mse="FAIL",
+                           avg_entries_per_symbol=None, wallclock_s=0.0,
+                           errors=None, symbols=None, error=failed[0])
+            else:  # summed in trial order, so the bytes do not depend on the workers
+                errors, se_sums, entries, seconds = zip(*cells)
+                row.update(ser=sum(errors) / symbols, mse=sum(se_sums) / symbols,
+                           avg_entries_per_symbol=sum(entries, Fraction(0)) / spec.trials,
+                           wallclock_s=sum(seconds), errors=sum(errors), symbols=symbols)
+            report.rows.append(row)
     report.rows.sort(key=lambda r: (r["algorithm"], r["snr_db"]))
-    if spec.out_path:
-        with open(spec.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.to_csv())
     return report
 
 

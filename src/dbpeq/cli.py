@@ -19,9 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -127,35 +127,49 @@ def _build_spec(settings: dict, names: Sequence[str] = ()) -> RunSpec:
     algos = tuple(default_algo(name, cfg, T=settings["T"], r=settings["r"])
                   for name in names or settings["algorithms"])
     return RunSpec(cfg=cfg, algorithms=algos, snr_grid=settings["snr"],
-                   trials=settings["trials"], out_path=settings["out"],
-                   timing=settings["timing"], workers=settings["workers"])
+                   trials=settings["trials"], timing=settings["timing"],
+                   workers=settings["workers"])
+
+
+def _check_writable(path: str) -> None:
+    """Raise ConfigError unless a file can be written at ``path``; creates nothing."""
+    folder = os.path.dirname(path) or "."
+    if not (os.path.basename(path) and os.path.isdir(folder) and not os.path.isdir(path)
+            and os.access(path if os.path.exists(path) else folder, os.W_OK)):
+        raise ConfigError(f"cannot write {path}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         settings = _merged_settings(args)
         spec = _build_spec(settings)
+        # every output path is checked before any cell runs, so a bad one costs no sweep
+        for path in (settings["out"], args.dump_config, args.dump_messages):
+            if path is not None:
+                _check_writable(path)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail_config(str(exc))
 
-    # the sweep runs first, so a config error it raises leaves no file behind
+    # every cell runs before any file is written, so a config error leaves none behind
     try:
         report = bench.run_sweep(spec)
-        if args.dump_config:
+        outputs = [(settings["out"], report.to_csv())]
+        if args.dump_config is not None:
             dump = {k: v for k, v in settings.items() if v is not None}
-            with open(args.dump_config, "w", encoding="utf-8") as fh:
-                json.dump(dump, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        if args.dump_messages:
-            _dump_messages(spec, args.dump_messages)
-    except (OSError, ConfigError) as exc:  # OSError: an output path cannot be written
+            outputs.append((args.dump_config, json.dumps(dump, indent=2, sort_keys=True) + "\n"))
+        if args.dump_messages is not None:
+            outputs.append((args.dump_messages, _message_log(spec)))
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except (OSError, ConfigError) as exc:  # OSError: a checked path failed all the same
         return _fail_config(str(exc))
 
     failed = [row for row in report.rows if row["ser"] == "FAIL"]
     for row in failed:
         print(f"FAIL {row['algorithm']} at {row['snr_db']} dB: {row['error']}",
               file=sys.stderr)
-    print(f"wrote {spec.out_path}: {len(report.rows)} rows, "
+    print(f"wrote {settings['out']}: {len(report.rows)} rows, "
           f"{len(failed)} failed", file=sys.stderr)
     if report.rows and len(failed) == len(report.rows) and len(spec.algorithms) > 1:
         print("all algorithms failed numerically", file=sys.stderr)
@@ -163,9 +177,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dump_messages(spec: RunSpec, path: str) -> None:
-    """Write one trial's message log; a failed algorithm logs a ``# FAIL`` line."""
-    cfg = replace(spec.cfg, snr_db=spec.snr_grid[0])
+def _message_log(spec: RunSpec) -> str:
+    """One trial's message log; a failed algorithm logs a ``# FAIL`` line."""
+    cfg = spec.cfg.with_updates(snr_db=spec.snr_grid[0])
     rz = gen_realization(cfg, 0)
     block = gen_symbol_block(cfg, rz, 0)
     lines = []
@@ -173,8 +187,7 @@ def _dump_messages(spec: RunSpec, path: str) -> None:
         lines.append(f"# algorithm={algo.label}")
         cell = dbpnet.run_cell(algo, rz, block.Y, cfg, record_log=True)
         lines.append(f"# FAIL {cell.error}" if cell.error else cell.fabric.dump_log())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

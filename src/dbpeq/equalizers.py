@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from numbers import Integral, Real
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .numerics import (
     hpd_solve,
     truncated_svd,
 )
-from .scenario import ConfigError, sample_covariance
+from .scenario import ConfigError, sample_covariance, whole_number
 
 
 @dataclass(frozen=True)
@@ -316,16 +316,13 @@ def bcd_limit(sweeps: Optional[int] = None, tol: Optional[float] = None,
     The one check of the rule: both given, a bool or non-integral count, a
     non-real tol, ``sweeps < 0``, ``tol <= 0`` or ``max_sweeps < 1`` raise ConfigError.
     """
-    for n in (sweeps, max_sweeps):
-        if n is not None and (isinstance(n, bool) or not isinstance(n, Integral)):
-            raise ConfigError(f"BCD sweep count must be an integer, got {n!r}")
-    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, Real)):
-        raise ConfigError(f"BCD tolerance must be a real number, got {tol!r}")
+    if sweeps is not None:
+        whole_number("BCD sweep count", sweeps, 0)
+    whole_number("BCD max_sweeps", max_sweeps, 1)
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, Real) or not tol > 0):
+        raise ConfigError(f"BCD tolerance must be a real number > 0, got {tol!r}")
     if sweeps is not None and tol is not None:
         raise ConfigError("give a BCD sweep count or a tolerance tol, not both")
-    if (sweeps or 0) < 0 or (tol is not None and not tol > 0) or max_sweeps < 1:
-        raise ConfigError(f"need sweeps >= 0, tol > 0, max_sweeps >= 1; got "
-                          f"{sweeps}, {tol}, {max_sweeps}")
     return max_sweeps if tol is not None else 4 if sweeps is None else sweeps
 
 

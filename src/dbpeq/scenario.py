@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,14 @@ _STREAM_SYMBOLS = 1
 
 class ConfigError(ValueError):
     pass
+
+
+def whole_number(what: str, n, least: int) -> None:
+    """Raise ConfigError unless ``n`` is an integer (not a bool) and ``>= least``."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ConfigError(f"{what} must be an integer, got {n!r}")
+    if n < least:
+        raise ConfigError(f"{what} must be >= {least}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -50,9 +59,12 @@ class SystemConfig:
     def __post_init__(self):
         if self.n_interf is None:
             object.__setattr__(self, "n_interf", self.K)
-        if not (self.M > self.K >= 1):
+        for name, least in (("M", 1), ("K", 1), ("C", 1), ("N", 1), ("n_coh", 1),
+                            ("n_interf", 0), ("seed", 0)):
+            whole_number(name, getattr(self, name), least)
+        if not self.M > self.K:
             raise ConfigError(f"need M > K >= 1, got M={self.M}, K={self.K}")
-        if not (1 <= self.C <= self.M):
+        if not self.C <= self.M:
             raise ConfigError(f"need 1 <= C <= M, got C={self.C}")
         if self.N <= self.K:
             raise ConfigError(f"need N > K, got N={self.N}, K={self.K}")
@@ -63,10 +75,6 @@ class SystemConfig:
             raise ConfigError("Es must be positive")
         if self.iot_db < 0:
             raise ConfigError("iot_db must be >= 0 (0 dB means pure AWGN)")
-        if self.n_coh < 1:
-            raise ConfigError("n_coh must be >= 1")
-        if self.n_interf < 0:
-            raise ConfigError("n_interf must be >= 0")
         if self.modulation not in MODULATIONS:
             raise ConfigError(f"unknown modulation {self.modulation!r}")
         if self.channel_model not in CHANNEL_MODELS:

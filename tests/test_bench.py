@@ -15,14 +15,13 @@ def _cfg(**kw):
     return SystemConfig(**base)
 
 
-def _spec(tmp_path=None, **kw):
+def _spec(**kw):
     base = dict(
         cfg=_cfg(),
         algorithms=(AlgoSpec("lmmse"), AlgoSpec("sdr"),
                     AlgoSpec("bcd", T=2)),
         snr_grid=(0.0, 10.0),
         trials=4,
-        out_path=None if tmp_path is None else str(tmp_path / "out.csv"),
     )
     base.update(kw)
     return RunSpec(**base)
@@ -120,15 +119,13 @@ class TestRunSweep:
         entries = dbpnet.ALGORITHMS["bcd"].entries(cfg, spec)
         assert entries == row["avg_entries_per_symbol"] == Fraction(784, 3)
 
-    def test_report_shape_and_csv(self, tmp_path):
-        spec = _spec(tmp_path)
-        report = bench.run_sweep(spec)
+    def test_report_shape_and_csv(self):
+        # run_sweep writes no file; test_cli checks that --out holds these bytes
+        report = bench.run_sweep(_spec())
         assert len(report.rows) == 6     # 3 algorithms x 2 SNRs
-        text = (tmp_path / "out.csv").read_text()
-        lines = text.strip().split("\n")
+        lines = report.to_csv().strip().split("\n")
         assert lines[0] == ",".join(bench.CSV_FIELDS)
         assert len(lines) == 7
-        assert text == report.to_csv()
 
     def test_ser_decreases_with_snr(self):
         report = bench.run_sweep(_spec(snr_grid=(0.0, 20.0), trials=8))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dbpeq import cli, dbpnet, equalizers, verify
+from dbpeq import bench, cli, dbpnet, equalizers, verify
 from dbpeq.scenario import SystemConfig
 
 
@@ -57,6 +57,15 @@ class TestRun:
         assert out.exists()
         header = out.read_text().splitlines()[0]
         assert header.startswith("algorithm,snr_db")
+
+    def test_out_bytes_are_the_report_csv(self, tmp_path, monkeypatch):
+        # run_sweep writes no file: --out holds its report's to_csv() for the same spec
+        specs, run_sweep = [], bench.run_sweep
+        monkeypatch.setattr(bench, "run_sweep", lambda spec: specs.append(spec) or run_sweep(spec))
+        out = tmp_path / "r.csv"
+        assert _run(["run", *BASE, "--algorithms", "lmmse,sdr,bcd", "--out", str(out)]) == 0
+        assert len(specs) == 1
+        assert out.read_bytes() == run_sweep(specs[0]).to_csv().encode("utf-8")
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "desk.json"
@@ -206,6 +215,8 @@ class TestRun:
         # each of these ran a sweep (exit 0) on one worker
         pytest.param([*DESK_FLAGS, "--workers", "0"], None, id="no-workers"),
         pytest.param([*DESK_FLAGS, "--workers", "-3"], None, id="negative-workers"),
+        # ended in numpy's "expected non-negative integer" traceback, exit 1
+        pytest.param([*DESK_FLAGS, "--seed", "-1"], None, id="negative-seed"),
     ])
     def test_bad_sweep_settings_exit_2(self, tmp_path, capsys, flags, config):
         argv = ["run", *flags, "--out", str(tmp_path / "r.csv")]
@@ -217,13 +228,18 @@ class TestRun:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--dump-config", "--dump-messages"])
-    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, flag):
-        # each ended in a FileNotFoundError traceback after the whole sweep
+    def test_unwritable_output_path_exit_2(self, tmp_path, monkeypatch, capsys, flag):
+        # each ended in a FileNotFoundError traceback after the whole sweep; then
+        # in exit 2 after the sweep, with the CSV of a good --out left behind
+        calls, run_sweep = [], bench.run_sweep
+        monkeypatch.setattr(bench, "run_sweep", lambda spec: calls.append(spec) or run_sweep(spec))
         path = str(tmp_path / "missing" / "file")
         argv = ["run", *DESK_FLAGS, "--out", str(tmp_path / "r.csv"), flag, path]
         assert _run(argv) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and path in err
+        assert calls == []
+        assert not list(tmp_path.iterdir())
 
     # the ridge fallback warns on the one-antenna clusters of C = M
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -349,6 +365,11 @@ class TestBandwidth:
     def test_bad_sweep_count_or_rank_exit_2(self, capsys, flags):
         assert _run(["bandwidth", *flags]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        # ended in numpy's "expected non-negative integer" traceback, exit 1
+        assert _run(["bandwidth", "--seed", "-1"]) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
 
     # the ridge fallback warns on the one-antenna clusters of C = M
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

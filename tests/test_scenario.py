@@ -45,6 +45,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _cfg(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        # each ended in a TypeError traceback inside numpy
+        pytest.param(dict(M=32.0), id="float-M"),
+        pytest.param(dict(N=64.5), id="fractional-N"),
+        pytest.param(dict(K=True), id="boolean-K"),
+        pytest.param(dict(n_interf=2.5), id="fractional-n_interf"),
+        # passed here, then failed in gen_symbol_block
+        pytest.param(dict(n_coh=48.5), id="fractional-n_coh"),
+        # drew the same realizations as seed 1
+        pytest.param(dict(seed=1.5), id="fractional-seed"),
+        # ended in numpy's "expected non-negative integer" ValueError
+        pytest.param(dict(seed=-1), id="negative-seed"),
+    ])
+    def test_counts_must_be_whole_numbers(self, bad):
+        (name, value), = bad.items()
+        with pytest.raises(ConfigError, match=f"{name} must be (an integer|>= 0), got {value}"):
+            _cfg(**bad)
+
     @pytest.mark.parametrize("name", ["snr_db", "iot_db", "Es"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_scalars_raise(self, name, value):
