@@ -143,10 +143,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         settings = _merged_settings(args)
         spec = _build_spec(settings)
-        # every output path is checked before any cell runs, so a bad one costs no sweep
-        for path in (settings["out"], args.dump_config, args.dump_messages):
+        # every output path is checked before any cell runs, so a bad one costs no sweep;
+        # two outputs at one file would silently replace each other
+        seen: dict[str, str] = {}
+        for flag, path in (("--out", settings["out"]), ("--dump-config", args.dump_config),
+                           ("--dump-messages", args.dump_messages)):
             if path is not None:
                 _check_writable(path)
+                real = os.path.realpath(path)
+                if real in seen:
+                    raise ConfigError(f"{seen[real]} and {flag} name the same file {path}")
+                seen[real] = flag
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail_config(str(exc))
 

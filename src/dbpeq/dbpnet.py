@@ -81,16 +81,13 @@ class Message:
 class BandwidthLedger:
     """Per-phase counts of real entries moved over the fabric.
 
-    BCD sweep t is the phase ``iteration[t]``.
+    :meth:`Fabric.send` adds each message to ``phases``; BCD sweep t is
+    the phase ``iteration[t]``.
     """
 
     def __init__(self, n_coh: int):
         self.n_coh = int(n_coh)
         self.phases: dict[str, int] = {"preprocessing": 0, "lrd": 0, "symbol_estimation": 0}
-
-    def record(self, phase: str, count: int) -> None:
-        """Add ``count`` real entries sent in ``phase``."""
-        self.phases[phase] = self.phases.get(phase, 0) + count
 
     @property
     def total(self) -> int:
@@ -195,7 +192,8 @@ class Fabric:
         arr = np.asarray(payload)
         if arr.ndim > 2:
             raise ShapeMismatch(f"a message payload has at most 2 dimensions, got {arr.shape}")
-        self.ledger.record(phase, 2 * arr.size)
+        phases = self.ledger.phases
+        phases[phase] = phases.get(phase, 0) + 2 * arr.size
         if self.record_log:
             rows, cols = (arr.shape + (1, 1))[:2]
             self.log.append(Message(phase, src, dst, kind, rows, cols, arr.copy()))
@@ -220,7 +218,7 @@ class _LocalScope:
         cell[0] = self._du.id
         return self._du
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
         self._cell[0] = self._prev
 
 
@@ -437,18 +435,19 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
 
     send = fabric.send
     hops = [(c, fabric.next_du(c)) for c in ring]
-    phases: list[str] = []
-    # the bcd_a and bcd_b views of the one state that the loop steps in place
-    views = []
+    # this sweep's phase, and the bcd_a and bcd_b views of the one state
+    # that the loop steps in place
+    phase, a_view, b_view = "", None, None
 
     def pass_on(t: int, i: int, z: np.ndarray) -> None:
-        if t == len(phases):
-            phases.append(f"iteration[{t}]")
-        if not views:
-            views[:] = z[:, :k], z[:, k:]
+        nonlocal phase, a_view, b_view
+        if i == 0:
+            phase = f"iteration[{t}]"
+            if t == 0:
+                a_view, b_view = z[:, :k], z[:, k:]
         src, dst = hops[i]
-        send(phases[t], src, dst, "bcd_a", views[0])
-        send(phases[t], src, dst, "bcd_b", views[1])
+        send(phase, src, dst, "bcd_a", a_view)
+        send(phase, src, dst, "bcd_b", b_view)
 
     wb = [fabric.du(c).cache["W"] for c in ring]
     n_sweeps = eq.bcd_iterate(factors, wb, z, limit, tol,

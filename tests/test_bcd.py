@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import zpotrs
 
-from dbpeq import equalizers as eq
-from dbpeq.scenario import ConfigError, SystemConfig, gen_realization, sample_covariance
+from dbpeq import dbpnet, equalizers as eq
+from dbpeq.scenario import (ConfigError, SystemConfig, gen_realization, gen_symbol_block,
+                            sample_covariance)
 
 
 def _real(a):
@@ -156,6 +157,29 @@ class TestBlockUpdate:
         np.testing.assert_allclose(z[:, 4:], b - wb[0] @ sb[0] + w_new @ sb[0],
                                    atol=1e-12)
 
+    def test_newton_step_writes_the_arrays_it_is_given(self):
+        # the BLAS wrapper would copy an operand that is not Fortran-ordered
+        # and lose the update, so the step must land in these very arrays:
+        # R is a view of a complex state and D a slice of one flat buffer,
+        # as in bcd_iterate; for K >= 2 the bits are numpy's gemm bits
+        cfg = _cfg()
+        rz = gen_realization(cfg, 3)
+        hb, nb = rz.H_blocks(), rz.noise_blocks()
+        sb = [eq.scaled_samples(n) for n in nb]
+        wb, a, b = eq.bdac_state(hb, nb, sb, 1.0)
+        blk = eq.BcdBlockFactor(hb[1], sb[1], 1.0)
+        blk.newton()
+        state = _residual(np.hstack([a, b]))
+        r = state.view(float)
+        d_all = np.full(3 * wb[1].size, np.nan + 0j)
+        d = d_all[wb[1].size:2 * wb[1].size].view(float).reshape(4, -1)
+        d_ref = r.dot(blk.p)
+        r_ref = r + d_ref.dot(blk.x)
+        eq.bcd_newton_step(blk, r, d)
+        np.testing.assert_array_equal(d, d_ref)
+        np.testing.assert_array_equal(state.view(float), r_ref)
+        assert np.isnan(d_all[:wb[1].size]).all() and np.isnan(d_all[2 * wb[1].size:]).all()
+
 
 class TestDescent:
     def test_monotone_descent_fifty_realizations(self):
@@ -237,9 +261,12 @@ class TestConvergence:
         np.testing.assert_allclose(r1.W, np.hstack(wb), atol=1e-7)
 
     def test_matches_per_block_reference_loop(self):
-        # criterion 01's setting; the last case stops at the sweep cap
-        cfg = _cfg(seed=11)
-        for trial, max_sweeps in ((0, 50000), (1, 50000), (2, 50000), (3, 7)):
+        # criterion 01's setting, where the last case stops at the sweep cap;
+        # then K = 2 and K = 8, and unequal clusters (sizes 8, 8, 7, 7)
+        cases = [(_cfg(seed=11), trial, max_sweeps)
+                 for trial, max_sweeps in ((0, 50000), (1, 50000), (2, 50000), (3, 7))]
+        cases += [(_cfg(seed=11, **kw), 0, 50000) for kw in (dict(K=2), dict(K=8), dict(M=30))]
+        for cfg, trial, max_sweeps in cases:
             rz = gen_realization(cfg, trial)
             hb, nb = rz.H_blocks(), rz.noise_blocks()
             sb = [eq.scaled_samples(n) for n in nb]
@@ -252,7 +279,25 @@ class TestConvergence:
             res = eq.bcd_solve(hb, nb, cfg.Es, tol=1e-12, max_sweeps=max_sweeps)
             np.testing.assert_array_equal(res.W, np.hstack(w_ref))
             assert res.iterations == n_ref
-        assert n_ref == 7
+            if max_sweeps == 7:
+                assert n_ref == 7
+
+    def test_one_user_library_and_protocol_agree(self):
+        # at K = 1 numpy would use gemv where the kernel uses gemm, so the
+        # per-block reference loop differs in the last bits; library and
+        # protocol share the kernel and must not
+        cfg = _cfg(K=1, seed=11)
+        rz = gen_realization(cfg, 0)
+        blk = gen_symbol_block(cfg, rz, 0)
+        fab = dbpnet.make_fabric(rz, blk.Y, "daisy", n_coh=cfg.n_coh)
+        res_p, _ = dbpnet.run_bcd_daisy(fab, cfg.Es, tol=1e-12, max_sweeps=50000)
+        res_l = eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), cfg.Es, tol=1e-12,
+                             max_sweeps=50000)
+        np.testing.assert_array_equal(res_p.W, res_l.W)
+        assert res_p.iterations == res_l.iterations < 50000
+        w_ref = eq.lmmse_centralized(rz.H, sample_covariance(rz.noise), cfg.Es).W
+        gap = np.linalg.norm(res_l.W - w_ref, "fro") / np.linalg.norm(w_ref, "fro")
+        assert gap < 1e-8
 
     @pytest.mark.parametrize("sweeps", [0, 1, 4])
     def test_fixed_sweeps_match_per_block_reference_loop(self, sweeps):

@@ -241,6 +241,18 @@ class TestRun:
         assert calls == []
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag", ["--dump-config", "--dump-messages"])
+    def test_two_outputs_at_one_path_exit_2(self, tmp_path, monkeypatch, capsys, flag):
+        # the second output used to replace the CSV silently, with exit 0
+        calls, run_sweep = [], bench.run_sweep
+        monkeypatch.setattr(bench, "run_sweep", lambda spec: calls.append(spec) or run_sweep(spec))
+        monkeypatch.chdir(tmp_path)
+        assert _run(["run", *DESK_FLAGS, "--out", "a.txt", flag, "./a.txt"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "--out" in err and flag in err
+        assert calls == []
+        assert not list(tmp_path.iterdir())
+
     # the ridge fallback warns on the one-antenna clusters of C = M
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fail_rows_say_why(self, tmp_path, capsys):
