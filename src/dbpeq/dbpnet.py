@@ -420,14 +420,14 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     # factor each DU's block Gram
     ring = range(1, fabric.C + 1)
     b_acc = None
-    factors = []
+    wb, factors = [], []
     for c in ring:
         with fabric.local(c) as du:
             s = du.cache["S"] = du.samples if r is None else du.cache["G"]
             w0 = hpd_solve(atot, du.cache["Q"])
-            du.cache["W"] = w0
             part = w0 @ s
             factors.append(eq.BcdBlockFactor(du.H, s, es))
+        wb.append(w0)
         b_acc = part if b_acc is None else b_acc + part
         fabric.send("preprocessing", c, fabric.next_du(c), "gram_total", gram)
         fabric.send("preprocessing", c, fabric.next_du(c), "b_acc", b_acc)
@@ -449,7 +449,6 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
         send(phase, src, dst, "bcd_a", a_view)
         send(phase, src, dst, "bcd_b", b_view)
 
-    wb = [fabric.du(c).cache["W"] for c in ring]
     n_sweeps = eq.bcd_iterate(factors, wb, z, limit, tol,
                               scopes=[fabric.local(c) for c in ring], after=pass_on)
     for c, w in zip(ring, wb):

@@ -177,11 +177,8 @@ def mse_matrix(h: np.ndarray, rhat: np.ndarray, q: np.ndarray, es: float) -> np.
 # ---------------------------------------------------------------------------
 
 def objective_sample(w: np.ndarray, h: np.ndarray, noise: np.ndarray, es: float) -> float:
-    """Es*||W H - I||_F^2 + (1/N) * sum_i ||W n^i||^2."""
-    k = h.shape[1]
-    fit = w @ h - np.eye(k)
-    return float(es * np.linalg.norm(fit, "fro") ** 2
-                 + np.linalg.norm(w @ noise, "fro") ** 2 / noise.shape[1])
+    """Es*||W H - I||_F^2 + (1/N) * sum_i ||W n^i||^2, on the raw pilot samples."""
+    return objective_from_samples(w, h, scaled_samples(noise), es)
 
 
 def objective_from_samples(w: np.ndarray, h: np.ndarray, samples: np.ndarray,
@@ -213,21 +210,18 @@ def bcd_block_gram(h_c: np.ndarray, samples_c: np.ndarray, es: float) -> np.ndar
 
 
 def bcd_block_update(h_c: np.ndarray, samples_c: np.ndarray, a_prev: np.ndarray,
-                     b_prev: np.ndarray, w_c_prev: np.ndarray, es: float,
-                     gram: Optional[np.ndarray] = None) -> np.ndarray:
+                     b_prev: np.ndarray, w_c_prev: np.ndarray, es: float) -> np.ndarray:
     """Closed-form minimizer of the sample objective in W_c, others fixed.
 
     ``a_prev`` is sum_j W_j H_j and ``b_prev`` is sum_j W_j S_j, both
     including the stale contribution of block c itself (it is removed
-    here). ``gram`` may carry a precomputed :func:`bcd_block_gram`.
+    here).
     """
     k = h_c.shape[1]
     a_others = a_prev - w_c_prev @ h_c
     b_others = b_prev - w_c_prev @ samples_c
     num = es * (np.eye(k) - a_others) @ h_c.conj().T - b_others @ samples_c.conj().T
-    if gram is None:
-        gram = bcd_block_gram(h_c, samples_c, es)
-    return hpd_solve(gram, num.conj().T).conj().T
+    return hpd_solve(bcd_block_gram(h_c, samples_c, es), num.conj().T).conj().T
 
 
 def _real_form(m: np.ndarray) -> np.ndarray:
@@ -483,12 +477,13 @@ def lrd_sequential(sample_blocks: Sequence[np.ndarray], r: int
 
     Runs :func:`lrd_stage` cluster by cluster; the final right factor V
     is broadcast so every cluster can form G_c = S_c @ V. Returns the
-    list of G_c (M_c x r) and V (N x r).
+    list of G_c (M_c x r) and V (N x r). A rank below 1 fails in the
+    first stage's :func:`truncated_svd`, one above min(M, N) after the
+    last stage, with the messages of :func:`dbpeq.dbpnet.run_lrd_daisy`.
     """
-    n = sample_blocks[0].shape[1]
-    if not 1 <= r <= min(sum(b.shape[0] for b in sample_blocks), n):
-        raise RankOutOfRange(f"rank {r} out of range")
     d = v = None
     for s_c in sample_blocks:
         d, v = lrd_stage(d, v, s_c, r)
+    if v.shape[1] < r:  # each stage keeps min(r, rows so far, N) triplets
+        raise RankOutOfRange(f"rank {r} exceeds min(M, N) = {v.shape[1]}")
     return [s_c @ v for s_c in sample_blocks], v

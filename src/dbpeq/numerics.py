@@ -6,6 +6,8 @@ are pure and operate on double-precision complex numpy arrays.
 
 Matrix inverses are never formed explicitly; every ``inv(A) @ B``
 expression in the equalizer math is realized as a Cholesky solve here.
+An HPD input is checked, not symmetrized (its producer calls
+:func:`hermitize`), and its lower triangle is factored.
 """
 
 from __future__ import annotations
@@ -73,33 +75,33 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def hpd_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky-factor a Hermitian positive-definite matrix.
 
-    A is symmetrized before factorization. If the factorization fails, one
-    ridge retry ``A + eps*tr(A)/n*I`` is attempted before raising
-    :class:`NotPositiveDefinite`. Returns the lower factor L (A = L L^H;
-    the strict upper triangle holds leftovers of A), which feeds
-    :func:`hpd_factor_solve` and may be reused across many right-hand
-    sides (e.g. one factorization per BCD block per realization).
+    A is checked, not symmetrized: ||A - A^H|| beyond HERM_TOL raises
+    :class:`NotHermitian`, and the lower triangle of A is factored. If
+    that fails, one ridge retry ``A + eps*tr(A)/n*I`` is attempted
+    before raising :class:`NotPositiveDefinite`. Returns the lower factor
+    L (A = L L^H; the strict upper triangle holds leftovers of A), which
+    feeds :func:`hpd_factor_solve` and may be reused across many
+    right-hand sides (e.g. one factorization per BCD block per realization).
     """
     global _ridge_retries
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"hpd_factor needs a square matrix, got {a.shape}")
     n = a.shape[0]
-    ah = hermitize(a)
-    # ||A - A^H|| = 2 ||A - (A + A^H)/2||; ||A|| matters only past HERM_TOL
-    asym = 2.0 * float(np.linalg.norm(a - ah))
+    # ||A|| matters only past HERM_TOL
+    asym = float(np.linalg.norm(a - a.conj().T))
     if asym > HERM_TOL and asym > HERM_TOL * float(np.linalg.norm(a)):
         raise NotHermitian(f"asymmetry {asym:.3e} beyond tolerance")
-    chol, info = _zpotrf(ah, lower=1, clean=0)
+    chol, info = _zpotrf(a, lower=1, clean=0)
     if info > 0:
         _ridge_retries += 1
-        ridge = RIDGE_EPS * np.trace(ah).real / n
+        ridge = RIDGE_EPS * np.trace(a).real / n
         warnings.warn(
             f"HPD factorization failed; retrying with ridge {ridge:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
-        chol, info = _zpotrf(ah + ridge * np.eye(n), lower=1, clean=0)
+        chol, info = _zpotrf(a + ridge * np.eye(n), lower=1, clean=0)
         if info > 0:
             raise NotPositiveDefinite(
                 "factorization pivot <= 0 even after ridge; "

@@ -248,5 +248,18 @@ class TestPairedOrdering:
         assert v.a_not_worse / v.qualified == pytest.approx(0.6)
 
     def test_unknown_algorithm(self):
-        with pytest.raises(KeyError):
-            bench.paired_ordering_test(_report([("a", 0, 0.1, 200)]), "zz", "a")
+        for a, b in (("zz", "a"), ("a", "zz")):
+            with pytest.raises(KeyError):
+                bench.paired_ordering_test(_report([("a", 0, 0.1, 200)]), a, b)
+
+    def test_fail_point_is_not_counted(self):
+        rep = _report([("a", 0, "FAIL", None), ("b", 0, 0.1, 500),
+                       ("a", 5, 0.05, 300), ("b", 5, 0.1, 500)])
+        v = bench.paired_ordering_test(rep, "a", "b")
+        assert v.points[0] == {"snr_db": 0, "qualified": False, "fail": True}
+        assert v.qualified == 1 and v.a_not_worse == 1
+        assert v.verdict == "better_or_equal"
+
+    def test_same_algorithm_is_equal(self):
+        v = bench.paired_ordering_test(_report([("a", 0, 0.1, 500)]), "a", "a")
+        assert v.verdict == "equal" and v.qualified == 1

@@ -363,6 +363,17 @@ class TestProtocolEquivalence:
             with pytest.raises(RankOutOfRange):
                 dbpnet.run_lrd_daisy(fab, min(m, n) + 1)
 
+    @pytest.mark.parametrize("r", [0, 17])   # min(M, N) = M = 16
+    def test_lrd_rank_rule_is_shared(self, r):
+        # the library checked the rank up front, with messages of its own
+        from dbpeq.numerics import RankOutOfRange
+        fab, rz, _ = _fabric(_cfg(M=16, C=4, N=48), kind="daisy")
+        with pytest.raises(RankOutOfRange) as library:
+            eq.lrd_sequential([eq.scaled_samples(n) for n in rz.noise_blocks()], r)
+        with pytest.raises(RankOutOfRange) as protocol:
+            dbpnet.run_lrd_daisy(fab, r)
+        assert str(library.value) == str(protocol.value)
+
     def test_lrd_reads_du_data_only_in_scope(self):
         class SpyDu(dbpnet.DuState):
             # the raw arrays themselves refuse a read outside this DU's scope
@@ -419,6 +430,11 @@ class TestProtocolEquivalence:
         fab, _, _ = _fabric(_cfg(), kind="star")
         with pytest.raises(TopologyError):
             dbpnet.run_bcd_daisy(fab, 1.0)
+
+    def test_lrd_requires_daisy(self):
+        fab, _, _ = _fabric(_cfg(), kind="star")
+        with pytest.raises(TopologyError):
+            dbpnet.run_lrd_daisy(fab, 4)
 
 
 GRID = [

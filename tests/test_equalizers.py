@@ -215,10 +215,12 @@ class TestObjectiveAndGradient:
         rng = np.random.default_rng(4)
         rz = gen_realization(_cfg(), 0)
         w = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        s = eq.scaled_samples(rz.noise)
+        # objective_sample calls objective_from_samples, so the reference
+        # is the definition: Es*||W H - I||^2 + (1/N) sum_i ||W n^i||^2
+        fit = np.linalg.norm(w @ rz.H - np.eye(4)) ** 2
+        noise = sum(np.linalg.norm(w @ n_i) ** 2 for n_i in rz.noise.T) / rz.noise.shape[1]
         np.testing.assert_allclose(
-            eq.objective_sample(w, rz.H, rz.noise, 1.0),
-            eq.objective_from_samples(w, rz.H, s, 1.0), rtol=1e-12)
+            eq.objective_sample(w, rz.H, rz.noise, 1.0), fit + noise, rtol=1e-12)
 
     def test_objective_at_lmmse_below_random(self):
         rng = np.random.default_rng(5)

@@ -40,6 +40,8 @@ class TestConfig:
         dict(modulation="qam64"),
         dict(channel_model="specular"),
         dict(n_interf=-1),
+        dict(Es=0.0),
+        dict(Es=-1.0),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
