@@ -25,8 +25,10 @@ from .equalizers import bcd_limit
 from .scenario import (
     ConfigError,
     SystemConfig,
-    gen_realization,
-    gen_symbol_block,
+    draw_channel,
+    draw_symbols,
+    scale_channel,
+    scale_symbols,
     slice_symbols,
     whole_number,
 )
@@ -114,12 +116,17 @@ def default_algo(name: str, cfg: SystemConfig, T: Optional[int] = None,
 
 def _run_trial(spec: RunSpec, trial: int) -> dict:
     """All (label, snr) cells of one trial, pure in (spec, trial): the failed Cell's
-    error, or (symbol errors, squared-error sum, entries per symbol, seconds)."""
+    error, or (symbol errors, squared-error sum, entries per symbol, seconds).
+
+    The trial's draws do not depend on the SNR: they are drawn once and
+    scaled at each SNR."""
+    channel = draw_channel(spec.cfg, trial)
+    symbols = draw_symbols(spec.cfg, trial)
     out = {}
     for snr in spec.snr_grid:
         cfg = spec.cfg.with_updates(snr_db=snr)
-        realization = gen_realization(cfg, trial)
-        block = gen_symbol_block(cfg, realization, trial)
+        realization = scale_channel(cfg, channel)
+        block = scale_symbols(cfg, realization, symbols)
         for algo in spec.algorithms:
             t0 = time.perf_counter() if spec.timing else 0.0
             cell = dbpnet.run_cell(algo, realization, block.Y, cfg)

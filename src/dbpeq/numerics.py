@@ -160,18 +160,24 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _leading_svd(x: np.ndarray, r: int) -> SvdResult:
+    # phases are fixed column by column, so fixing only the r kept
+    # columns gives the bits of fixing all of them and slicing
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    u, v = _fix_signs(u[:, :r], vh[:r].conj().T)
+    return SvdResult(U=u, S=s[:r], V=v)
+
+
 def svd(x: np.ndarray) -> SvdResult:
     """Deterministic thin SVD with nonincreasing singular values."""
     x = as_cmatrix(x)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    u, v = _fix_signs(u, vh.conj().T)
-    return SvdResult(U=u, S=s, V=v)
+    return _leading_svd(x, min(x.shape))
 
 
 def truncated_svd(x: np.ndarray, r: int) -> SvdResult:
     """The r dominant singular triplets of x (Eckart-Young optimal)."""
-    full = svd(x)
-    kmax = full.S.size
+    x = as_cmatrix(x)
+    kmax = min(x.shape)
     if not 1 <= r <= kmax:
         raise RankOutOfRange(f"rank {r} not in [1, {kmax}]")
-    return SvdResult(U=full.U[:, :r], S=full.S[:r], V=full.V[:, :r])
+    return _leading_svd(x, r)

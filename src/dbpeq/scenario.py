@@ -3,8 +3,17 @@
 Generates everything one Monte-Carlo trial needs: the system
 configuration, channel matrices, colored-noise pilot samples, QAM
 symbol blocks, and the balanced antenna-cluster partition. Each trial
-draws from its own RNG substream, so trials are order-independent and
+draws from its own RNG substreams, so trials are order-independent and
 safe to run in parallel.
+
+A trial is drawn once and scaled per SNR. :func:`draw_channel` takes the
+unit-power channel, interference and pilot-noise draws from the trial's
+channel substream, and :func:`draw_symbols` the symbols and data-noise
+draws from its symbol substream; neither depends on the SNR, and both
+return read-only arrays, since every SNR of the trial shares them.
+:func:`scale_channel` and :func:`scale_symbols` turn them into the pilot
+noise and the received signals at one SNR and IoT. :func:`gen_realization`
+and :func:`gen_symbol_block` are draw then scale.
 """
 
 from __future__ import annotations
@@ -175,14 +184,21 @@ def _one_ring_channel(rng: np.random.Generator, m: int, n_ue: int) -> np.ndarray
     return h
 
 
-def gen_realization(cfg: SystemConfig, trial: int) -> Realization:
-    """Deterministic channel + pilot-noise draw for (cfg.seed, trial).
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # a trial's draws are shared by every SNR; an in-place write must raise
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
-    Pilot noise column i is sqrt(beta*Es)*Hbar@w_i + sqrt(N0)*z_i, so the
-    sample covariance converges to beta*Es*Hbar@Hbar^H + N0*I.
+
+def draw_channel(cfg: SystemConfig, trial: int) -> tuple[np.ndarray, ...]:
+    """Unit-power channel-substream draws of (cfg.seed, trial), read-only.
+
+    Returns (H, Hbar, w, z): the target and interference channels, then
+    the CN(0, 1) pilot interference symbols w (n_interf x N) and
+    background noise z (M x N). None of them depends on the SNR.
     """
     rng = _substream(cfg.seed, trial, _STREAM_CHANNEL)
-    n0, beta = derive_powers(cfg)
     if cfg.channel_model == "rayleigh":
         h = _cn(rng, cfg.M, cfg.K)
         hbar = _cn(rng, cfg.M, cfg.n_interf)
@@ -191,23 +207,55 @@ def gen_realization(cfg: SystemConfig, trial: int) -> Realization:
         hbar = _one_ring_channel(rng, cfg.M, cfg.n_interf)
     w = _cn(rng, cfg.n_interf, cfg.N)
     z = _cn(rng, cfg.M, cfg.N)
+    return _read_only(h, hbar, w, z)
+
+
+def scale_channel(cfg: SystemConfig, draw: tuple[np.ndarray, ...]) -> Realization:
+    """The realization of a :func:`draw_channel` draw at cfg's SNR and IoT.
+
+    Pilot noise column i is sqrt(beta*Es)*Hbar@w_i + sqrt(N0)*z_i, so the
+    sample covariance converges to beta*Es*Hbar@Hbar^H + N0*I.
+    """
+    h, hbar, w, z = draw
+    n0, beta = derive_powers(cfg)
     noise = np.sqrt(beta * cfg.Es) * (hbar @ w) + np.sqrt(n0) * z
     return Realization(
         H=h, Hbar=hbar, noise=noise, partition=balanced_partition(cfg.M, cfg.C)
     )
 
 
-def gen_symbol_block(cfg: SystemConfig, realization: Realization, trial: int) -> SymbolBlock:
-    """Draw n_coh data symbols and the corresponding received signals."""
+def gen_realization(cfg: SystemConfig, trial: int) -> Realization:
+    """Deterministic channel + pilot-noise draw for (cfg.seed, trial)."""
+    return scale_channel(cfg, draw_channel(cfg, trial))
+
+
+def draw_symbols(cfg: SystemConfig, trial: int) -> tuple[np.ndarray, ...]:
+    """Symbol-substream draws of (cfg.seed, trial), read-only.
+
+    Returns (S, w, z): the K x n_coh constellation symbols, then the
+    CN(0, 1) data interference symbols w and background noise z.
+    """
     rng = _substream(cfg.seed, trial, _STREAM_SYMBOLS)
-    n0, beta = derive_powers(cfg)
     points = constellation(cfg.modulation, cfg.Es)
     idx = rng.integers(0, points.size, size=(cfg.K, cfg.n_coh))
     s = points[idx]
     w = _cn(rng, cfg.n_interf, cfg.n_coh)
     z = _cn(rng, cfg.M, cfg.n_coh)
+    return _read_only(s, w, z)
+
+
+def scale_symbols(cfg: SystemConfig, realization: Realization,
+                  draw: tuple[np.ndarray, ...]) -> SymbolBlock:
+    """The symbol block of a :func:`draw_symbols` draw at cfg's SNR and IoT."""
+    s, w, z = draw
+    n0, beta = derive_powers(cfg)
     y = realization.H @ s + np.sqrt(beta * cfg.Es) * (realization.Hbar @ w) + np.sqrt(n0) * z
     return SymbolBlock(S=s, Y=y)
+
+
+def gen_symbol_block(cfg: SystemConfig, realization: Realization, trial: int) -> SymbolBlock:
+    """Draw n_coh data symbols and the corresponding received signals."""
+    return scale_symbols(cfg, realization, draw_symbols(cfg, trial))
 
 
 def sample_covariance(noise: np.ndarray) -> np.ndarray:
@@ -245,11 +293,16 @@ def slice_symbols(x: np.ndarray, modulation: str, es: float) -> np.ndarray:
 
     The decision is per axis; a value exactly on a decision boundary is
     mapped to the higher level (half-open decision regions), so slicing
-    is deterministic.
+    is deterministic. The result is a complex128 array of x's shape.
     """
     lv = _axis_levels(modulation, es)
     bounds = 0.5 * (lv[:-1] + lv[1:])
     x = np.asarray(x)
-    re = lv[np.digitize(x.real, bounds)]
-    im = lv[np.digitize(x.imag, bounds)]
-    return re + 1j * im
+    # real and imaginary parts interleaved, decided in one pass; the level
+    # index len(bounds) - #(v < b) is np.digitize(v, bounds) for every
+    # float, -0.0 included (NaN and +inf take the top level)
+    v = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    idx = np.full(v.shape, bounds.size)
+    for b in bounds:
+        idx -= v < b
+    return lv[idx].view(np.complex128).reshape(x.shape)

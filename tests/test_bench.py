@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dbpeq import bench, dbpnet
+from dbpeq import bench, dbpnet, scenario
 from dbpeq.bench import AlgoSpec, InsufficientErrors, RunSpec, SerReport
 from dbpeq.scenario import ConfigError, SystemConfig
 
@@ -196,6 +196,45 @@ class TestRunSweep:
         assert len(set(per_trial)) > 1
         row = bench.run_sweep(spec).row("bcd", 10.0)
         assert row["avg_entries_per_symbol"] == sum(per_trial, Fraction(0)) / 3
+
+
+
+class TestTrialDraws:
+    def test_each_substream_is_opened_once_per_trial(self, monkeypatch):
+        # the draws do not depend on the SNR, so one trial draws once
+        opened = []
+        substream = scenario._substream
+
+        def spy(seed, trial, tag):
+            opened.append((trial, tag))
+            return substream(seed, trial, tag)
+
+        monkeypatch.setattr(scenario, "_substream", spy)
+        bench._run_trial(_spec(snr_grid=(0.0, 5.0, 10.0, 20.0)), 2)
+        assert sorted(opened) == [(2, 0), (2, 1)]
+
+    def test_shared_draws_are_read_only(self, monkeypatch):
+        # every SNR of a trial shares H, Hbar and S, so an in-place write by
+        # one cell would silently change the next SNR's inputs
+        realizations, blocks = [], []
+        run_cell, scale_symbols = dbpnet.run_cell, bench.scale_symbols
+
+        def run_cell_spy(algo, realization, y, cfg):
+            realizations.append(realization)
+            return run_cell(algo, realization, y, cfg)
+
+        def scale_symbols_spy(*args):
+            blocks.append(scale_symbols(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(dbpnet, "run_cell", run_cell_spy)
+        monkeypatch.setattr(bench, "scale_symbols", scale_symbols_spy)
+        bench._run_trial(_spec(), 0)
+        assert len(realizations) == 6 and len(blocks) == 2
+        for shared in [r.H for r in realizations] + [r.Hbar for r in realizations] \
+                + [b.S for b in blocks]:
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 0
 
 
 def _report(rows):

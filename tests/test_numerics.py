@@ -207,7 +207,25 @@ class TestSvd:
 
     def test_truncated_svd_rank_bounds(self):
         x = np.eye(4)
-        with pytest.raises(numerics.RankOutOfRange):
+        with pytest.raises(numerics.RankOutOfRange, match=r"^rank 0 not in \[1, 4\]$"):
             numerics.truncated_svd(x, 0)
-        with pytest.raises(numerics.RankOutOfRange):
+        with pytest.raises(numerics.RankOutOfRange, match=r"^rank 5 not in \[1, 4\]$"):
             numerics.truncated_svd(x, 5)
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (12, 64), (64, 12), (5, 5)],
+                             ids=["one-row", "one-column", "wide", "tall", "square"])
+    def test_truncated_svd_is_svd_sliced(self, shape):
+        # only the r kept columns get their phase fixed; the bits must be
+        # those of the full SVD cut to r (a one-row x is the FMA case)
+        rng = np.random.default_rng(13)
+        for zero_column in (False, True):
+            x = _rand_complex(rng, shape)
+            if zero_column:
+                x[:, rng.integers(shape[1])] = 0
+            full = numerics.svd(x)
+            kmax = min(shape)
+            for r in sorted({1, (kmax + 1) // 2, kmax}):
+                dec = numerics.truncated_svd(x, r)
+                np.testing.assert_array_equal(dec.U, full.U[:, :r])
+                np.testing.assert_array_equal(dec.S, full.S[:r])
+                np.testing.assert_array_equal(dec.V, full.V[:, :r])

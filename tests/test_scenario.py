@@ -9,10 +9,14 @@ from dbpeq.scenario import (
     balanced_partition,
     constellation,
     derive_powers,
+    draw_channel,
+    draw_symbols,
     gen_realization,
     gen_symbol_block,
     modulate,
     sample_covariance,
+    scale_channel,
+    scale_symbols,
     slice_symbols,
 )
 
@@ -176,6 +180,33 @@ class TestGeneration:
             rz.H[:-1, 0]) / np.linalg.norm(rz.H[1:, 0])
         assert corr > 0.5
 
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(modulation="qpsk"), dict(channel_model="one_ring"),
+        dict(channel_model="one_ring", modulation="qpsk"),
+        dict(n_interf=0), dict(C=32),
+    ], ids=["rayleigh-qam16", "rayleigh-qpsk", "one_ring-qam16", "one_ring-qpsk",
+            "no-interferers", "C=M"])
+    def test_one_draw_scales_to_every_snr(self, kw):
+        # the draws do not depend on the SNR: one draw, scaled at each SNR,
+        # is bit for bit a fresh realization and symbol block at that SNR
+        drawn_at = _cfg(snr_db=-7.0, **kw)
+        channel, symbols = draw_channel(drawn_at, 2), draw_symbols(drawn_at, 2)
+        for snr in (-5.0, 0.0, 3.5, 10.0, 20.0):
+            cfg = drawn_at.with_updates(snr_db=snr)
+            rz, fresh = scale_channel(cfg, channel), gen_realization(cfg, 2)
+            for name in ("H", "Hbar", "noise"):
+                np.testing.assert_array_equal(getattr(rz, name), getattr(fresh, name))
+            assert rz.partition == fresh.partition
+            blk, fresh_blk = scale_symbols(cfg, rz, symbols), gen_symbol_block(cfg, fresh, 2)
+            np.testing.assert_array_equal(blk.S, fresh_blk.S)
+            np.testing.assert_array_equal(blk.Y, fresh_blk.Y)
+
+    def test_draws_are_read_only(self):
+        cfg = _cfg()
+        for a in draw_channel(cfg, 0) + draw_symbols(cfg, 0):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0
+
     def test_symbol_block(self):
         cfg = _cfg()
         rz = gen_realization(cfg, 0)
@@ -218,6 +249,37 @@ class TestModulation:
         # the midpoint between levels maps to the higher level
         got = slice_symbols(np.array([[0.0 + 0.0j]]), "qam16", 1.0)
         np.testing.assert_allclose(got, (1 + 1j) / np.sqrt(10), rtol=1e-12)
+
+    @pytest.mark.parametrize("mod", ["qpsk", "qam16"])
+    def test_slice_matches_digitize_reference(self, mod):
+        es = 2.5
+        lv = np.unique(constellation(mod, es).real)
+        bounds = 0.5 * (lv[:-1] + lv[1:])
+
+        def reference(x):
+            # the slicer as first written: one np.digitize per axis
+            x = np.asarray(x)
+            return lv[np.digitize(x.real, bounds)] + 1j * lv[np.digitize(x.imag, bounds)]
+
+        edges = np.concatenate([bounds, np.nextafter(bounds, -np.inf),
+                                np.nextafter(bounds, np.inf), lv,
+                                [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]])
+        re, im = np.meshgrid(edges, edges, indexing="ij")
+        grid = re.astype(np.complex128)  # re + 1j * im would turn 1j * inf into nan
+        grid.imag = im
+        rng = np.random.default_rng(4)
+        noisy = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
+        cases = {
+            "edges": grid, "random": noisy, "transposed": noisy.T,
+            "strided": noisy[::2, 1::3], "1-D": grid.ravel(), "0-D": np.asarray(grid[1, 2]),
+            "scalar": complex(edges[0], edges[-3]), "real": edges, "real-2D": noisy.real,
+            "complex64": noisy.astype(np.complex64), "float32": noisy.real.astype(np.float32),
+        }
+        for name, x in cases.items():
+            got, want = slice_symbols(x, mod, es), reference(x)
+            assert np.shape(got) == np.shape(want), name
+            assert got.dtype == want.dtype == np.complex128, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_slice_nearest_point(self):
         rng = np.random.default_rng(3)
