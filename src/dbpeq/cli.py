@@ -78,6 +78,8 @@ SETTINGS = {
     "T": (4, _integer, "BCD sweep count"),
     "r": (None, lambda v: None if v is None else _integer(v),
           "LRD truncation rank (default: the interferer count)"),
+    "interf": (None, lambda v: None if v is None else _integer(v),
+               "number of interferers (default: the user count K)"),
     "ncoh": (480, _integer, "payload symbols per coherence block"),
     "iot": (10.0, _real, "interference-over-thermal in dB"),
     "channel": ("rayleigh", _exact(str), "channel model: " + ", ".join(CHANNEL_MODELS)),
@@ -91,7 +93,7 @@ SETTINGS = {
     "timing": (False, _exact(bool), "record wallclock (breaks byte-identical output)"),
 }
 # the settings that `bandwidth` takes; `run` takes them all
-_BANDWIDTH_KEYS = ("seed", "M", "K", "C", "N", "T", "r", "ncoh", "iot", "channel")
+_BANDWIDTH_KEYS = ("seed", "M", "K", "C", "N", "T", "r", "interf", "ncoh", "iot", "channel")
 
 
 def _fail_config(msg: str) -> int:
@@ -122,7 +124,8 @@ def _merged_settings(args: argparse.Namespace) -> dict:
 def _build_spec(settings: dict, names: Sequence[str] = ()) -> RunSpec:
     """The RunSpec of ``settings``; ``names`` replaces their algorithm list."""
     cfg = SystemConfig(M=settings["M"], K=settings["K"], C=settings["C"], N=settings["N"],
-                       iot_db=settings["iot"], n_coh=settings["ncoh"], seed=settings["seed"],
+                       n_interf=settings["interf"], iot_db=settings["iot"],
+                       n_coh=settings["ncoh"], seed=settings["seed"],
                        modulation=settings["modulation"], channel_model=settings["channel"])
     algos = tuple(default_algo(name, cfg, T=settings["T"], r=settings["r"])
                   for name in names or settings["algorithms"])

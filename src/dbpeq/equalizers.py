@@ -25,12 +25,13 @@ from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dgemm as _dgemm
+from scipy.linalg.blas import daxpy as _daxpy, ddot as _ddot, dgemm as _dgemm
 from scipy.linalg.lapack import zpotrs as _zpotrs
 
 from .numerics import (
     NotPositiveDefinite,
     RankOutOfRange,
+    ShapeMismatch,
     hermitize,
     hpd_factor,
     hpd_factor_solve,
@@ -247,8 +248,9 @@ class BcdBlockFactor:
     :meth:`newton` adds the operators of the converge-mode kernel
     :func:`bcd_newton_step`, in real form (see :func:`_real_form`): ``x``
     of X_c = [H_c | S_c] and ``p`` of -P_c, P_c = [Es H_c^H ; S_c^H] G_c^-1,
-    with ``xt`` and ``pt`` their Fortran-ordered transposes (views) for BLAS.
-    The per-sweep W and D buffers are not here: :func:`bcd_iterate` owns them.
+    with ``xt`` and ``pt`` their Fortran-ordered transposes (views), the
+    operands BLAS reads. The kernel's R^T and D^T operands are not here:
+    :func:`bcd_iterate` owns them, with the per-sweep W and D buffers.
     """
 
     __slots__ = ("h", "s", "es", "hh_es", "sh", "chol", "x", "p", "xt", "pt")
@@ -289,28 +291,31 @@ def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray) -> Non
     np.add(b_others, w_new @ samples_c, out=z[:, k:])
 
 
-def bcd_newton_step(block: BcdBlockFactor, r: np.ndarray, d: np.ndarray) -> None:
+def bcd_newton_step(block: BcdBlockFactor, rt: np.ndarray, dt: np.ndarray) -> None:
     """Converge-mode block update of the residual R = [A - I | B], in real form.
 
-    ``r`` is the interleaved float64 view of the complex R
-    (``np.ascontiguousarray(r).view(np.float64)``) and ``d`` a
-    C-contiguous float64 K x 2 M_c buffer. Since X_c P_c = I and
-    P_c[:K] = [I | 0] P_c, the new block is W_c + D with
-    D = -R P_c, leaving the add to W_c to the caller. Two BLAS ``dgemm``
-    calls on the transposes, which are Fortran-ordered views, do the
-    step in place: D^T = P^T R^T on ``block.pt`` (see
-    :meth:`BcdBlockFactor.newton`) writes D into ``d``, and
-    R^T += X^T D^T (beta = 1) updates ``r``. For K >= 2 these are the
-    bits of ``r.dot(block.p)`` and ``r + d.dot(block.x)``, which numpy
-    sends to the same gemm; at K = 1 numpy uses gemv, so only the last
-    bits differ from that form. A non-contiguous ``r`` or ``d`` would be
-    copied by the wrapper and its update lost. Rounding differs from
-    :func:`bcd_sweep_step` in the last bits.
+    The kernel takes the transposes that BLAS reads and writes, both
+    Fortran-ordered float64: ``rt`` is R^T (2(K+N) x K), the transpose of
+    the interleaved float64 view of the complex R, and ``dt`` is D^T
+    (2 M_c x K). Since X_c P_c = I and P_c[:K] = [I | 0] P_c, the new
+    block is W_c + D with D = -R P_c, leaving the add to W_c to the
+    caller. Two BLAS ``dgemm`` calls do the step in place and make no
+    views: D^T = P^T R^T on ``block.pt`` (see
+    :meth:`BcdBlockFactor.newton`) writes D^T into ``dt``, and
+    R^T += X^T D^T (beta = 1) updates ``rt``. For K >= 2 these are the
+    bits of ``R.dot(block.p)`` and ``R + D.dot(block.x)`` on the float64
+    R and D, which numpy sends to the same gemm; at K = 1 numpy uses
+    gemv, so only the last bits differ from that form. The wrapper would work on a copy of an
+    operand that is not Fortran-ordered and lose its update, so that
+    raises ShapeMismatch. Rounding differs from :func:`bcd_sweep_step`
+    in the last bits.
     """
     # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c: positional, because
     # the wrapper takes about 0.3 us longer to parse a keyword
-    _dgemm(1.0, block.pt, r.T, 0.0, d.T, 0, 0, 1)
-    _dgemm(1.0, block.xt, d.T, 1.0, r.T, 0, 0, 1)
+    if (_dgemm(1.0, block.pt, rt, 0.0, dt, 0, 0, 1) is not dt
+            or _dgemm(1.0, block.xt, dt, 1.0, rt, 0, 0, 1) is not rt):
+        raise ShapeMismatch("bcd_newton_step needs Fortran-ordered float64 rt and dt, "
+                            f"got {rt.dtype} {rt.shape} and {dt.dtype} {dt.shape}")
 
 
 def bcd_limit(sweeps: Optional[int] = None, tol: Optional[float] = None,
@@ -343,12 +348,15 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     array is written. Both kernels follow one contract, ``step(factor,
     state, slot)``: each updates the one live state in place and writes
     its block output into ``slot``. The state is a complex128 copy of Z,
-    from which converge mode subtracts [I | 0] to step on the float64
-    view of R = [A - I | B]. The W blocks live in one flat buffer: a
-    fixed-mode slot is its block of W, a converge-mode slot the K x 2 M_c
-    float64 view of the block change D in a second flat buffer, added by
-    one ``W += D`` after the sweep, with one real ``np.vdot`` per side for
-    the stopping sums. Block i steps inside ``scopes[i]`` if given, then
+    from which converge mode subtracts [I | 0] to step on R = [A - I | B].
+    The W blocks live in one flat buffer: a fixed-mode slot is its block
+    of W. Converge mode binds the kernel's Fortran-ordered operands once
+    per solve, before the first sweep: the state is passed as R^T, the
+    transpose of R's float64 view, and each slot is D^T, the transpose of
+    the K x 2 M_c float64 view of the block change D in a second flat
+    buffer. After the sweep one BLAS ``daxpy`` adds D to W (a = 1.0, so
+    the bits of ``W += D``) and one BLAS ``ddot`` per side gives the
+    stopping sums. Block i steps inside ``scopes[i]`` if given, then
     ``after(t, i, state)`` sees the complex128 state (Z, or R in converge
     mode) after that step of sweep t: the same live array at every step,
     so ``after`` must copy what it keeps. On exit ``wb`` holds each block
@@ -371,10 +379,11 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
         for factor in factors:
             factor.newton()
         state -= np.eye(*state.shape)
-        live = state.view(np.float64)
+        # the kernel's Fortran-ordered transposes, made once per solve
+        live = state.view(np.float64).T
         tol2 = tol ** 2
         d_all = np.empty_like(w_all)
-        slots = [d_all[a:e].view(np.float64).reshape(w.shape[0], -1) for a, e, w in spans]
+        slots = [d_all[a:e].view(np.float64).reshape(w.shape[0], -1).T for a, e, w in spans]
         w_all, d_all = w_all.view(np.float64), d_all.view(np.float64)
     steps = list(zip(factors, slots, scopes or [None] * len(slots)))
     ran = limit
@@ -388,8 +397,8 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
             if after is not None:
                 after(t, i, state)
         if converge:
-            w_all += d_all
-            if np.vdot(d_all, d_all) <= tol2 * max(np.vdot(w_all, w_all), 1e-300):
+            _daxpy(d_all, w_all)  # W += D: 1.0 * D is exact, so the bits of +
+            if _ddot(d_all, d_all) <= tol2 * max(_ddot(w_all, w_all), 1e-300):
                 ran = t + 1
                 break
     wb[:] = [w.copy() for w in w_blocks]

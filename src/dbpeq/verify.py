@@ -54,7 +54,9 @@ def check_bcd_descent(cfg: SystemConfig, count: int) -> CheckResult:
     """No step of 4 BCD sweeps from BDAC raises the sample objective by over 1e-12.
 
     Checked for the oracle :func:`bcd_block_update`, the fixed-sweep
-    :func:`bcd_sweep_step` and the converge-mode :func:`bcd_newton_step` (on R = Z - [I | 0]).
+    :func:`bcd_sweep_step` and the converge-mode :func:`bcd_newton_step`, which
+    steps R = Z - [I | 0] on the Fortran-ordered transposes of R's and D's
+    float64 views, as :func:`bcd_iterate` passes them.
     """
     violations = steps = 0
     for trial in range(count):
@@ -79,8 +81,8 @@ def check_bcd_descent(cfg: SystemConfig, count: int) -> CheckResult:
                         wb[c] = w_new
                     elif kernel == "fixed-sweep":  # steps z, writes W_c into wb[c]
                         eq.bcd_sweep_step(factors[c], z, wb[c])
-                    else:  # steps z, writes D into d[c]
-                        eq.bcd_newton_step(factors[c], z, d[c])
+                    else:  # steps z, writes D into d[c], on their transposes
+                        eq.bcd_newton_step(factors[c], z.T, d[c].T)
                         wb[c] += d[c].view(np.complex128)
                     obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, cfg.Es)
                     violations += obj > prev + 1e-12

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg.lapack import zpotrs
 
 from dbpeq import dbpnet, equalizers as eq
+from dbpeq.numerics import ShapeMismatch
 from dbpeq.scenario import (ConfigError, SystemConfig, gen_realization, gen_symbol_block,
                             sample_covariance)
 
@@ -144,7 +145,7 @@ class TestBlockUpdate:
         # D into the block's buffer and leaves W_c + D to its caller
         d = np.empty((4, 2 * hb[0].shape[0]))
         z = _real(_residual(np.hstack([a, b])))
-        assert eq.bcd_newton_step(blk, z, d) is None
+        assert eq.bcd_newton_step(blk, z.T, d.T) is None
         z = z.view(complex)
         z[:, :4] += np.eye(4)
         d = d.view(complex)
@@ -158,9 +159,8 @@ class TestBlockUpdate:
                                    atol=1e-12)
 
     def test_newton_step_writes_the_arrays_it_is_given(self):
-        # the BLAS wrapper would copy an operand that is not Fortran-ordered
-        # and lose the update, so the step must land in these very arrays:
-        # R is a view of a complex state and D a slice of one flat buffer,
+        # the step must land in these very arrays: R^T is the transpose of
+        # a view of a complex state and D^T of a slice of one flat buffer,
         # as in bcd_iterate; for K >= 2 the bits are numpy's gemm bits
         cfg = _cfg()
         rz = gen_realization(cfg, 3)
@@ -175,10 +175,31 @@ class TestBlockUpdate:
         d = d_all[wb[1].size:2 * wb[1].size].view(float).reshape(4, -1)
         d_ref = r.dot(blk.p)
         r_ref = r + d_ref.dot(blk.x)
-        eq.bcd_newton_step(blk, r, d)
+        eq.bcd_newton_step(blk, r.T, d.T)
         np.testing.assert_array_equal(d, d_ref)
         np.testing.assert_array_equal(state.view(float), r_ref)
         assert np.isnan(d_all[:wb[1].size]).all() and np.isnan(d_all[2 * wb[1].size:]).all()
+
+    @pytest.mark.parametrize("misuse", ["c-ordered-rt", "column-strided-dt"])
+    def test_newton_step_refuses_operands_it_would_copy(self, misuse):
+        # the BLAS wrapper works on a copy of an operand that is not
+        # Fortran-ordered and returns it, so the update would be lost
+        cfg = _cfg()
+        rz = gen_realization(cfg, 3)
+        hb, nb = rz.H_blocks(), rz.noise_blocks()
+        sb = [eq.scaled_samples(n) for n in nb]
+        _, a, b = eq.bdac_state(hb, nb, sb, 1.0)
+        blk = eq.BcdBlockFactor(hb[0], sb[0], 1.0)
+        blk.newton()
+        rt = _real(_residual(np.hstack([a, b]))).T
+        dt = np.empty((2 * hb[0].shape[0], 4), order="F")
+        if misuse == "c-ordered-rt":
+            rt = np.ascontiguousarray(rt)
+        else:
+            dt = np.empty((2 * hb[0].shape[0], 8), order="F")[:, ::2]
+        assert not (rt.flags.f_contiguous and dt.flags.f_contiguous)
+        with pytest.raises(ShapeMismatch, match="Fortran-ordered"):
+            eq.bcd_newton_step(blk, rt, dt)
 
 
 class TestDescent:
@@ -220,7 +241,7 @@ class TestDescent:
             prev = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
             for _ in range(4):
                 for c in range(4):
-                    eq.bcd_newton_step(blocks[c], z, d[c])
+                    eq.bcd_newton_step(blocks[c], z.T, d[c].T)
                     wb[c] = wb[c] + d[c].view(complex)
                     obj = eq.objective_sample(np.hstack(wb), rz.H, rz.noise, 1.0)
                     if obj > prev + 1e-12:
@@ -281,6 +302,48 @@ class TestConvergence:
             assert res.iterations == n_ref
             if max_sweeps == 7:
                 assert n_ref == 7
+
+    @pytest.mark.parametrize("solver", ["library", "protocol"])
+    def test_converge_loop_binds_its_operands_once(self, monkeypatch, solver):
+        # the kernel's Fortran-ordered R^T and D^T are made once per solve:
+        # one R^T over the loop's live state, one D^T per block
+        cfg = _cfg(seed=11)
+        rz = gen_realization(cfg, 0)
+        calls, states = [], []
+        step, iterate = eq.bcd_newton_step, eq.bcd_iterate
+
+        def spy_step(factor, rt, dt):
+            calls.append((rt, dt))
+            step(factor, rt, dt)
+
+        def spy_iterate(*args, after=None, **kwargs):
+            def seen(t, i, state):
+                states.append(state)
+                if after is not None:
+                    after(t, i, state)
+            return iterate(*args, after=seen, **kwargs)
+
+        monkeypatch.setattr(eq, "bcd_newton_step", spy_step)
+        monkeypatch.setattr(eq, "bcd_iterate", spy_iterate)
+        if solver == "library":
+            res = eq.bcd_solve(rz.H_blocks(), rz.noise_blocks(), cfg.Es, tol=1e-8)
+        else:
+            fab = dbpnet.make_fabric(rz, gen_symbol_block(cfg, rz, 0).Y, "daisy",
+                                     n_coh=cfg.n_coh)
+            res, _ = dbpnet.run_bcd_daisy(fab, cfg.Es, tol=1e-8)
+        assert res.iterations >= 2
+        assert len(calls) == len(states) == res.iterations * cfg.C
+        for rt, dt in calls:
+            assert rt.dtype == dt.dtype == np.float64
+            assert rt.flags.f_contiguous and dt.flags.f_contiguous
+        rt0 = calls[0][0]
+        assert all(rt is rt0 for rt, _ in calls)
+        assert all(state is states[0] for state in states)
+        assert np.shares_memory(rt0, states[0])
+        for c in range(cfg.C):
+            dts = [dt for _, dt in calls[c::cfg.C]]
+            assert all(dt is dts[0] for dt in dts)
+        assert len({id(dt) for _, dt in calls[:cfg.C]}) == cfg.C
 
     def test_one_user_library_and_protocol_agree(self):
         # at K = 1 numpy would use gemv where the kernel uses gemm, so the

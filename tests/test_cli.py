@@ -138,6 +138,40 @@ class TestRun:
         body = out.read_text()
         assert body.count("FAIL") >= 2
 
+    def test_no_interferers_run_every_non_lrd_algorithm(self, tmp_path, monkeypatch):
+        seen = []
+        run_sweep = bench.run_sweep
+
+        def spy(spec):
+            seen.append(spec.cfg.n_interf)
+            return run_sweep(spec)
+
+        monkeypatch.setattr(bench, "run_sweep", spy)
+        out = tmp_path / "r.csv"
+        names = ["zf", "lmmse", "bdac", "sdr", "cdr", "bcd"]
+        assert _run(["run", *BASE, "--interf", "0", "--algorithms", ",".join(names),
+                     "--out", str(out)]) == 0
+        assert seen == [0]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert sorted(row[0] for row in rows) == sorted(names)
+        assert not any("FAIL" in row for row in rows)
+
+    def test_no_interferers_leave_lrd_no_default_rank(self, tmp_path, capsys):
+        # bcd-lrd's default rank is the interferer count, here 0
+        assert _run(["run", *BASE, "--interf", "0", "--algorithms", "bcd-lrd",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bandwidth"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "true"])
+    def test_bad_interferer_count_exit_2(self, tmp_path, capsys, command, value):
+        argv = [command, "--interf", value]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "r.csv")]
+        assert _run(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_dump_config_roundtrip(self, tmp_path):
         out1 = tmp_path / "a.csv"
         dump = tmp_path / "resolved.json"
@@ -307,13 +341,14 @@ class TestVerify:
 
     def test_descent_runs_the_newton_kernel(self, monkeypatch, capsys):
         # over-relaxing D by 2.5 overshoots each block minimum; R, stepped
-        # in place by D, takes 1.5 D X_c more, so it stays consistent with
-        # the overshot W
+        # in place by D, takes 1.5 D X_c more (the kernel's operands are
+        # the transposes, so R^T takes 1.5 X_c^T D^T), so it stays
+        # consistent with the overshot W
         step = equalizers.bcd_newton_step
 
         def over_relaxed(block, r, d):
             step(block, r, d)
-            r += 1.5 * d.dot(block.x)
+            r += 1.5 * block.xt.dot(d)
             d *= 2.5
 
         monkeypatch.setattr(equalizers, "bcd_newton_step", over_relaxed)
@@ -366,6 +401,12 @@ class TestBandwidth:
         monkeypatch.setattr(cli, "gen_realization", spy)
         assert _run(["bandwidth", "--channel", "one_ring", "--iot", "3"]) == 0
         assert [(c.channel_model, c.iot_db) for c in seen] == [("one_ring", 3.0)]
+
+    # the ridge fallback may warn on bcd-lrd's rank-2 samples
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_interferer_count_sets_the_default_rank(self, capsys):
+        assert _run(["bandwidth", "--interf", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split()[5] == "r=2"
 
     def test_bad_params_exit_2(self, tmp_path, capsys):
         assert _run(["bandwidth", "--M", "4", "--K", "8"]) == 2
