@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -32,8 +31,6 @@ from .scenario import (
     slice_symbols,
     whole_number,
 )
-
-ALGORITHMS = tuple(dbpnet.ALGORITHMS)
 
 CSV_FIELDS = ("algorithm", "snr_db", "iot_db", "M", "C", "K", "N", "T", "r",
               "ser", "mse", "avg_entries_per_symbol", "wallclock_s")
@@ -61,9 +58,9 @@ class AlgoSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.name not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {self.name!r}; choose from {', '.join(ALGORITHMS)}")
+        if self.name not in dbpnet.ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {self.name!r}; "
+                              f"choose from {', '.join(dbpnet.ALGORITHMS)}")
         takes = dbpnet.ALGORITHMS[self.name].params
         unused = [p for p in ("T", "tol", "r") if getattr(self, p) is not None and p not in takes]
         if unused:
@@ -141,17 +138,6 @@ def _run_trial(spec: RunSpec, trial: int) -> dict:
     return out
 
 
-def _worker_count(spec: RunSpec) -> int:
-    n = spec.workers
-    cap = os.environ.get("DBP_EQ_THREADS")
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"DBP_EQ_THREADS must be an integer, got {cap!r}") from None
-    return min(n, spec.trials)
-
-
 @dataclass
 class SerReport:
     """Aggregated sweep results, one row per (algorithm, snr)."""
@@ -186,7 +172,7 @@ def run_sweep(spec: RunSpec) -> SerReport:
 
     Writes no file: the caller writes the report's ``to_csv()``.
     """
-    workers = _worker_count(spec)
+    workers = min(spec.workers, spec.trials)
     args = ([spec] * spec.trials, range(spec.trials))
     if workers <= 1:
         per_trial = list(map(_run_trial, *args))

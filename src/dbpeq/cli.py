@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bench, dbpnet, verify
-from .bench import ALGORITHMS, RunSpec, default_algo
+from .bench import RunSpec, default_algo
 from .scenario import (CHANNEL_MODELS, MODULATIONS, ConfigError, SystemConfig,
                        gen_realization, gen_symbol_block)
 
@@ -85,10 +85,10 @@ SETTINGS = {
     "channel": ("rayleigh", _exact(str), "channel model: " + ", ".join(CHANNEL_MODELS)),
     "out": ("results.csv", _exact(str), "output CSV path"),
     "algorithms": (("lmmse", "bdac", "sdr", "cdr", "bcd"), _list_of(_exact(str)),
-                   "comma list: " + ",".join(ALGORITHMS)),
+                   "comma list: " + ",".join(dbpnet.ALGORITHMS)),
     "snr": ((0.0, 5.0, 10.0, 15.0, 20.0), _list_of(_real), "comma list of SNR points in dB"),
     "trials": (50, _integer, "Monte-Carlo trials per point"),
-    "workers": (1, _integer, "worker processes (also capped by DBP_EQ_THREADS)"),
+    "workers": (1, _integer, "worker processes"),
     "modulation": ("qam16", _exact(str), "constellation: " + ", ".join(MODULATIONS)),
     "timing": (False, _exact(bool), "record wallclock (breaks byte-identical output)"),
 }
@@ -220,28 +220,21 @@ def _fmt_frac(x: Fraction) -> str:
 def cmd_bandwidth(args: argparse.Namespace) -> int:
     try:
         settings = _merged_settings(args)
-        spec = _build_spec(settings, names=ALGORITHMS)
+        spec = _build_spec(settings, names=dbpnet.ALGORITHMS)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail_config(str(exc))
 
     cfg = spec.cfg
-    m, k, c, n, ncoh = cfg.M, cfg.K, cfg.C, cfg.N, cfg.n_coh
     lrd = next(a for a in spec.algorithms if a.name == "bcd-lrd")
-    t, r = lrd.T, lrd.r
-    rz = gen_realization(cfg, 0)
-    block = gen_symbol_block(cfg, rz, 0)
+    m, k, c, n, t, r, ncoh = cfg.M, cfg.K, cfg.C, cfg.N, lrd.T, lrd.r, cfg.n_coh
     print(f"M={m} K={k} C={c} N={n} T={t} r={r} ncoh={ncoh}")
     print(f"{'algorithm':<12} {'formula':>14} {'ledger':>14} {'match':>6}")
     ok = True
-    for algo in spec.algorithms:
-        want = dbpnet.ALGORITHMS[algo.name].entries(cfg, algo)
-        cell = dbpnet.run_cell(algo, rz, block.Y, cfg)
-        if cell.error:
-            ok = False
-            print(f"{algo.name:<12} {_fmt_frac(want):>14} {'FAIL':>14} {cell.error}")
-            continue
-        got = cell.fabric.ledger.per_symbol_average()
+    for algo, want, got in verify.ledger_rows(cfg, spec.algorithms):
         ok &= got == want
+        if isinstance(got, str):  # the failed Cell's error
+            print(f"{algo.name:<12} {_fmt_frac(want):>14} {'FAIL':>14} {got}")
+            continue
         print(f"{algo.name:<12} {_fmt_frac(want):>14} {_fmt_frac(got):>14} "
               f"{'yes' if got == want else 'NO':>6}")
         # the note's figures are for the bcd-lrd rank, so only a row that ran has them

@@ -399,8 +399,8 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     the loop steps on) and ``bcd_b``, views of the loop's one live state
     made at the first hop; symbols are accumulated in a final ring pass.
 
-    The sweeps run in :func:`dbpeq.equalizers.bcd_iterate`, each block
-    step inside its DU's scope, for the sweeps that
+    The sweeps run in :func:`dbpeq.equalizers.bcd_iterate`, each block's
+    operators formed and steps run inside its DU's scope, for the sweeps that
     :func:`dbpeq.equalizers.bcd_limit` gives ``sweeps``, ``tol`` and
     ``max_sweeps``; a rejected rule raises before any message is sent.
     Either way the filter is bit-identical to

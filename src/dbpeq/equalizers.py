@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Real
@@ -356,8 +357,8 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
     the K x 2 M_c float64 view of the block change D in a second flat
     buffer. After the sweep one BLAS ``daxpy`` adds D to W (a = 1.0, so
     the bits of ``W += D``) and one BLAS ``ddot`` per side gives the
-    stopping sums. Block i steps inside ``scopes[i]`` if given, then
-    ``after(t, i, state)`` sees the complex128 state (Z, or R in converge
+    stopping sums. Block i's ``newton()`` and steps run inside ``scopes[i]``
+    if given; ``after(t, i, state)`` sees the complex128 state (Z, or R in converge
     mode) after that step of sweep t: the same live array at every step,
     so ``after`` must copy what it keeps. On exit ``wb`` holds each block
     as its own complex128 array. Returns the number of sweeps run.
@@ -375,9 +376,11 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
         block[...] = w
         w_blocks.append(block)
     live, slots = state, w_blocks
+    scopes = scopes or [None] * len(factors)
     if converge:
-        for factor in factors:
-            factor.newton()
+        for factor, scope in zip(factors, scopes):
+            with scope or nullcontext():
+                factor.newton()
         state -= np.eye(*state.shape)
         # the kernel's Fortran-ordered transposes, made once per solve
         live = state.view(np.float64).T
@@ -385,7 +388,7 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
         d_all = np.empty_like(w_all)
         slots = [d_all[a:e].view(np.float64).reshape(w.shape[0], -1).T for a, e, w in spans]
         w_all, d_all = w_all.view(np.float64), d_all.view(np.float64)
-    steps = list(zip(factors, slots, scopes or [None] * len(slots)))
+    steps = list(zip(factors, slots, scopes))
     ran = limit
     for t in range(limit):
         for i, (factor, slot, scope) in enumerate(steps):

@@ -5,7 +5,8 @@ the realizations), its instance count and, where it draws more random
 numbers, its generator seed; it returns a :class:`CheckResult`.
 :data:`CHECKS` binds each to a desk configuration for ``dbpeq verify``;
 criteria 01-07 and 09 of ``tests/test_acceptance.py`` call the same
-functions at their own scale.
+functions at their own scale; :func:`ledger_rows`, the ledger property's
+one table of ledgers against closed forms, is what ``dbpeq bandwidth`` prints.
 """
 
 from __future__ import annotations
@@ -191,6 +192,17 @@ def check_lrd(cfg: SystemConfig, count: int, seed: int, exact_count: int) -> Che
                        f"over {count} instances")
 
 
+def ledger_rows(cfg: SystemConfig, specs):
+    """Yield (spec, closed form, ledger or the failed Cell's error) of each spec,
+    each run on trial 0 of ``cfg``, drawn once: the ledger property's one table."""
+    rz = gen_realization(cfg, 0)
+    y = gen_symbol_block(cfg, rz, 0).Y
+    for algo in specs:
+        cell = dbpnet.run_cell(algo, rz, y, cfg)
+        yield (algo, dbpnet.ALGORITHMS[algo.name].entries(cfg, algo),
+               cell.error or cell.fabric.ledger.per_symbol_average())
+
+
 def check_ledger_formulas(cfg: SystemConfig, grid) -> CheckResult:
     """Every algorithm row's ledger equals its closed form, in exact rationals.
 
@@ -201,20 +213,15 @@ def check_ledger_formulas(cfg: SystemConfig, grid) -> CheckResult:
     mismatches = []
     for m, k, c, n, ncoh, t, r in grid:
         cfg_g = cfg.with_updates(M=m, K=k, C=c, N=n, n_coh=ncoh, n_interf=k)
-        rz = gen_realization(cfg_g, 0)
-        y = gen_symbol_block(cfg_g, rz, 0).Y
-        for name, row in dbpnet.ALGORITHMS.items():
-            algo = default_algo(name, cfg_g, T=t, r=r)
-            cell = dbpnet.run_cell(algo, rz, y, cfg_g)
-            got = cell.error or cell.fabric.ledger.per_symbol_average()  # a FAIL says why
-            want = row.entries(cfg_g, algo)
+        specs = [default_algo(name, cfg_g, T=t, r=r) for name in dbpnet.ALGORITHMS]
+        for algo, want, got in ledger_rows(cfg_g, specs):  # a FAIL's got says why
             if got != want:
-                mismatches.append((m, k, c, n, name, got, want))
-        # the aggregate form counts the final rank-r broadcast as C + 2 hops, the ring C
-        residual = (dbpnet.formula_bcd_lrd_aggregate(c, m, k, n, t, r, ncoh)
-                    - dbpnet.formula_bcd_lrd_ledger(rz.partition.sizes, k, n, t, r, ncoh))
-        if residual != Fraction(2 * n * r, ncoh):
-            mismatches.append((m, k, c, n, "bcd-lrd-residual", residual, None))
+                mismatches.append((m, k, c, n, algo.name, got, want))
+            # the aggregate form counts the final rank-r broadcast as C + 2 hops, the ring C
+            if algo.name == "bcd-lrd":
+                excess = dbpnet.formula_bcd_lrd_aggregate(c, m, k, n, t, r, ncoh) - want
+                if excess != Fraction(2 * n * r, ncoh):
+                    mismatches.append((m, k, c, n, "bcd-lrd-residual", excess, None))
     published = (dbpnet.formula_centralized(128, 8, 192, 480) == Fraction(1088, 3)
                  and dbpnet.formula_dr(8, 8, 192, 480) == Fraction(544, 3))
     ok = not mismatches and published

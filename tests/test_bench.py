@@ -143,12 +143,28 @@ class TestRunSweep:
         b = bench.run_sweep(_spec(workers=3)).to_csv()
         assert a == b
 
-    def test_env_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("DBP_EQ_THREADS", "1")
-        spec = _spec(workers=8)
-        assert bench._worker_count(spec) == 1
-        monkeypatch.setenv("DBP_EQ_THREADS", "2")
-        assert bench._worker_count(spec) == 2
+    def test_workers_capped_by_trials(self, monkeypatch):
+        # run_sweep asks for min(workers, trials) processes, and for no pool at one
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        serial = bench.run_sweep(_spec(trials=2, workers=1)).to_csv()
+        assert made == []
+        assert bench.run_sweep(_spec(trials=2, workers=8)).to_csv() == serial
+        assert made == [2]
 
     def test_failed_algorithm_marked_not_fatal(self):
         # N < C*K starves the concatenated covariance of rank

@@ -251,6 +251,10 @@ class TestRun:
         pytest.param([*DESK_FLAGS, "--workers", "-3"], None, id="negative-workers"),
         # ended in numpy's "expected non-negative integer" traceback, exit 1
         pytest.param([*DESK_FLAGS, "--seed", "-1"], None, id="negative-seed"),
+        # a config value of the wrong JSON type, and a config that is not an object
+        pytest.param([], {**DESK, "iot": [1]}, id="iot-list"),
+        pytest.param([], {**DESK, "snr": 5}, id="snr-number"),
+        pytest.param([], [1], id="config-not-object"),
     ])
     def test_bad_sweep_settings_exit_2(self, tmp_path, capsys, flags, config):
         argv = ["run", *flags, "--out", str(tmp_path / "r.csv")]
@@ -297,13 +301,6 @@ class TestRun:
         assert len(lines) == 5
         assert all(ln.startswith("FAIL cdr ") and "NotPositiveDefinite" in ln for ln in lines)
 
-    def test_bad_thread_cap_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DBP_EQ_THREADS", "abc")
-        assert _run(["run", *BASE, "--workers", "2", "--out", str(tmp_path / "r.csv"),
-                     "--dump-config", str(tmp_path / "c.json")]) == 2
-        assert "config error:" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
 
 class TestVerify:
     def test_filter_runs_subset(self, capsys):
@@ -315,13 +312,17 @@ class TestVerify:
     def test_no_match_is_failure(self):
         assert _run(["verify", "--filter", "zzz"]) == 1
 
-    def test_tampered_ledger_fails(self, monkeypatch, capsys):
+    # both entry points read verify.ledger_rows, so a tampered formula fails both
+    @pytest.mark.parametrize("argv,marker", [
+        pytest.param(["verify", "--filter", "ledger"], "FAIL", id="verify"),
+        pytest.param(["bandwidth"], " NO", id="bandwidth"),
+    ])
+    def test_tampered_ledger_fails(self, monkeypatch, capsys, argv, marker):
         # the rows look the formula up by its module-level name
         formula = dbpnet.formula_centralized
         monkeypatch.setattr(dbpnet, "formula_centralized", lambda *a: formula(*a) + 1)
-        code = _run(["verify", "--filter", "ledger"])
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert _run(argv) == 1
+        assert marker in capsys.readouterr().out
 
     # lmmse's sample covariance is singular at N = 8 < M, so the ridge fallback warns
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -392,13 +393,13 @@ class TestBandwidth:
 
     def test_channel_and_iot_reach_the_realization(self, monkeypatch, capsys):
         seen = []
-        gen_realization = cli.gen_realization
+        gen_realization = verify.gen_realization
 
         def spy(cfg, trial):
             seen.append(cfg)
             return gen_realization(cfg, trial)
 
-        monkeypatch.setattr(cli, "gen_realization", spy)
+        monkeypatch.setattr(verify, "gen_realization", spy)
         assert _run(["bandwidth", "--channel", "one_ring", "--iot", "3"]) == 0
         assert [(c.channel_model, c.iot_db) for c in seen] == [("one_ring", 3.0)]
 

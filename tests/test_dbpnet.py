@@ -153,6 +153,20 @@ class TestLocality:
         with pytest.raises(LocalityError):
             dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-8)
 
+    def test_tol_loop_forms_operators_in_their_du_scope(self, monkeypatch):
+        # newton() ran for every factor before the first sweep, outside any
+        # scope, so no DU formed X_c and P_c from its own H_c and S_c
+        fab, _, _ = _fabric(_cfg(), kind="daisy")
+        seen, newton = [], eq.BcdBlockFactor.newton
+
+        def spy(factor):
+            seen.append(fab._scope[0])
+            return newton(factor)
+
+        monkeypatch.setattr(eq.BcdBlockFactor, "newton", spy)
+        dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-6)
+        assert seen == [1, 2, 3, 4]
+
     def test_fixed_sweep_steps_run_in_their_du_scope(self, monkeypatch):
         fab, _, _ = _fabric(_cfg(), kind="daisy")
         self._snoop(monkeypatch, fab, "bcd_sweep_step")
