@@ -1,11 +1,11 @@
 """Simulated DBP fabric: nodes, topologies, message accounting, protocols.
 
 The fabric is an in-process event simulation. Inter-node data moves only
-through :meth:`Fabric.send`: it adds each message's real-entry count,
-derived from its payload shape, to the :class:`BandwidthLedger`, and a
-:class:`Message` records it when the log is on. Distributed-unit state
-is guarded so a protocol driver cannot read another node's raw data
-outside that node's local-computation scope.
+through routes: :meth:`Fabric.route` checks a link and its payload shapes
+once, and each send of the route counts and logs them (:mod:`dbpeq.ledger`);
+:meth:`Fabric.send` is a one-message route. Distributed-unit state is
+guarded so a protocol driver cannot read another node's raw data outside
+that node's local-computation scope.
 
 Protocol drivers reorganize the equalizer computations across nodes but
 call the same helpers as :mod:`dbpeq.equalizers`, so the results match
@@ -14,14 +14,15 @@ the library forms exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import equalizers as eq
-from .numerics import NumericsError, RankOutOfRange, ShapeMismatch, hermitize, hpd_solve
+from .ledger import BandwidthLedger, Message, _Route
+from .numerics import NumericsError, RankOutOfRange, hermitize, hpd_solve
 from .scenario import Realization, balanced_partition, sample_covariance
 
 CU = -1          # central unit id (star topology)
@@ -56,46 +57,6 @@ class Topology:
                 raise TopologyError("daisy topology has no CU")
             if dst != src % self.C + 1:
                 raise TopologyError(f"daisy link must be {src}->{src % self.C + 1}, got {src}->{dst}")
-
-
-@dataclass(slots=True)
-class Message:
-    phase: str
-    src: int
-    dst: int
-    kind: str
-    rows: int
-    cols: int
-    payload: object = field(repr=False, default=None, compare=False)
-
-    @property
-    def real_entry_count(self) -> int:
-        # one complex number = 2 real entries
-        return 2 * self.rows * self.cols
-
-    def log_line(self) -> str:
-        return (f"{self.phase},{self.src},{self.dst},{self.kind},"
-                f"{self.rows},{self.cols},{self.real_entry_count}")
-
-
-class BandwidthLedger:
-    """Per-phase counts of real entries moved over the fabric.
-
-    :meth:`Fabric.send` adds each message to ``phases``; BCD sweep t is
-    the phase ``iteration[t]``.
-    """
-
-    def __init__(self, n_coh: int):
-        self.n_coh = int(n_coh)
-        self.phases: dict[str, int] = {"preprocessing": 0, "lrd": 0, "symbol_estimation": 0}
-
-    @property
-    def total(self) -> int:
-        return sum(self.phases.values())
-
-    def per_symbol_average(self) -> Fraction:
-        """Exact per-symbol average: total entries over the coherence block."""
-        return Fraction(self.total, self.n_coh)
 
 
 class DuState:
@@ -180,23 +141,21 @@ class Fabric:
         """
         return _LocalScope(self, c)
 
-    def send(self, phase: str, src: int, dst: int, kind: str, payload) -> np.ndarray:
-        """Count ``payload`` at 2 real entries per element and return it as
-        an array; a payload of over 2 dimensions raises ShapeMismatch. The
-        log keeps a copy, a snapshot even of a view a later step writes."""
+    def route(self, src: int, dst: int, payloads) -> "_Route":
+        """Bind the ``(kind, payload)`` messages to the link src -> dst, each
+        payload an array counted at 2 real entries per element. An illegal
+        link raises and is never remembered; a payload of over 2 dimensions
+        raises ShapeMismatch."""
         link = (src, dst)
         if link not in self._legal_links:
-            # an illegal link raises here and is never remembered
             self.topology.check_link(src, dst)
             self._legal_links.add(link)
+        return _Route(self.ledger, self.log if self.record_log else None, link, payloads)
+
+    def send(self, phase: str, src: int, dst: int, kind: str, payload) -> np.ndarray:
+        """Send ``payload`` as a one-message route; returns it as an array."""
         arr = np.asarray(payload)
-        if arr.ndim > 2:
-            raise ShapeMismatch(f"a message payload has at most 2 dimensions, got {arr.shape}")
-        phases = self.ledger.phases
-        phases[phase] = phases.get(phase, 0) + 2 * arr.size
-        if self.record_log:
-            rows, cols = (arr.shape + (1, 1))[:2]
-            self.log.append(Message(phase, src, dst, kind, rows, cols, arr.copy()))
+        self.route(src, dst, ((kind, arr),)).send(phase)
         return arr
 
     def dump_log(self) -> str:
@@ -397,7 +356,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     forms its BDAC initial block. Every sweep passes (A, B) around the
     ring as two messages, ``bcd_a`` (A - I in converge mode, the residual
     the loop steps on) and ``bcd_b``, views of the loop's one live state
-    made at the first hop; symbols are accumulated in a final ring pass.
+    bound once per hop as a route; symbols are accumulated in a final ring pass.
 
     The sweeps run in :func:`dbpeq.equalizers.bcd_iterate`, each block's
     operators formed and steps run inside its DU's scope, for the sweeps that
@@ -433,21 +392,18 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
         fabric.send("preprocessing", c, fabric.next_du(c), "b_acc", b_acc)
     z = np.hstack([hpd_solve(atot, gram), b_acc])
 
-    send = fabric.send
-    hops = [(c, fabric.next_du(c)) for c in ring]
-    # this sweep's phase, and the bcd_a and bcd_b views of the one state
-    # that the loop steps in place
-    phase, a_view, b_view = "", None, None
+    # this sweep's phase, and each hop's route of the bcd_a and bcd_b views
+    # of the one state that the loop steps in place, bound at the first hop
+    phase, routes = "", []
 
     def pass_on(t: int, i: int, z: np.ndarray) -> None:
-        nonlocal phase, a_view, b_view
+        nonlocal phase
         if i == 0:
             phase = f"iteration[{t}]"
             if t == 0:
-                a_view, b_view = z[:, :k], z[:, k:]
-        src, dst = hops[i]
-        send(phase, src, dst, "bcd_a", a_view)
-        send(phase, src, dst, "bcd_b", b_view)
+                payloads = (("bcd_a", z[:, :k]), ("bcd_b", z[:, k:]))
+                routes[:] = [fabric.route(c, fabric.next_du(c), payloads) for c in ring]
+        routes[i].send(phase)
 
     n_sweeps = eq.bcd_iterate(factors, wb, z, limit, tol,
                               scopes=[fabric.local(c) for c in ring], after=pass_on)

@@ -43,6 +43,36 @@ def _fabric(cfg, trial=0, kind="star", record_log=False):
     return fab, rz, blk
 
 
+def _route_send(fab, phase, src, dst, kind, payload):
+    fab.route(src, dst, ((kind, payload),)).send(phase)
+
+
+def _check_illegal_link_raises_every_time(send):
+    # legal links are remembered after one check; illegal ones never are,
+    # and a failed send or bind counts and logs nothing
+    fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
+    payload = np.zeros((2, 3))
+    for _ in range(3):
+        send(fab, "preprocessing", 1, 2, "k", payload)
+        with pytest.raises(TopologyError):
+            send(fab, "preprocessing", 1, 3, "k", payload)
+    assert fab.ledger.total == 3 * 12
+    assert [(m.src, m.dst) for m in fab.log] == [(1, 2)] * 3
+
+
+def _check_counts_by_size_and_rejects_over_two_dimensions(send):
+    # a scalar counts as 1 x 1 and a vector as a column; a 3-D payload
+    # has no rows x cols form, so it raises rather than count 12 of 48
+    fab, _, _ = _fabric(_cfg())
+    for payload, entries in ((1.5 + 2j, 2), (np.ones(5), 10), (np.ones((3, 4)), 24)):
+        fab.ledger.phases["preprocessing"] = 0
+        send(fab, "preprocessing", 1, CU, "k", payload)
+        assert fab.ledger.phases["preprocessing"] == entries
+    with pytest.raises(ShapeMismatch):
+        send(fab, "preprocessing", 1, CU, "k", np.zeros((2, 3, 4), complex))
+    assert fab.ledger.phases["preprocessing"] == 24
+
+
 class TestTopology:
     def test_star_rejects_du_to_du(self):
         top = dbpnet.Topology("star", 4)
@@ -74,27 +104,35 @@ class TestTopology:
         with pytest.raises(TopologyError):
             dbpnet.Fabric(dbpnet.Topology("star", 3), [])
 
+    # Fabric.send and a one-message route share every case below; the
+    # route checks its link and shapes when it is bound
     def test_illegal_link_raises_on_every_send(self):
-        # legal links are remembered after one check; illegal ones never are
-        fab, _, _ = _fabric(_cfg(), kind="daisy")
-        payload = np.zeros((2, 3))
-        for _ in range(3):
-            fab.send("preprocessing", 1, 2, "k", payload)
-            with pytest.raises(TopologyError):
-                fab.send("preprocessing", 1, 3, "k", payload)
-        assert fab.ledger.total == 3 * 12
+        _check_illegal_link_raises_every_time(dbpnet.Fabric.send)
+
+    def test_illegal_link_raises_on_every_route_bind(self):
+        _check_illegal_link_raises_every_time(_route_send)
 
     def test_send_counts_by_size_and_rejects_over_two_dimensions(self):
-        # a scalar counts as 1 x 1 and a vector as a column; a 3-D payload
-        # has no rows x cols form, so it raises rather than count 12 of 48
-        fab, _, _ = _fabric(_cfg())
-        for payload, entries in ((1.5 + 2j, 2), (np.ones(5), 10), (np.ones((3, 4)), 24)):
-            fab.ledger.phases["preprocessing"] = 0
-            fab.send("preprocessing", 1, CU, "k", payload)
-            assert fab.ledger.phases["preprocessing"] == entries
-        with pytest.raises(ShapeMismatch):
-            fab.send("preprocessing", 1, CU, "k", np.zeros((2, 3, 4), complex))
-        assert fab.ledger.phases["preprocessing"] == 24
+        _check_counts_by_size_and_rejects_over_two_dimensions(dbpnet.Fabric.send)
+
+    def test_route_counts_by_size_and_rejects_over_two_dimensions_at_bind(self):
+        _check_counts_by_size_and_rejects_over_two_dimensions(_route_send)
+
+    def test_two_message_route_logs_a_snapshot_per_send(self):
+        fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
+        z = np.arange(12, dtype=complex).reshape(2, 6)
+        route = fab.route(1, 2, (("bcd_a", z[:, :2]), ("bcd_b", z[:, 2:])))
+        assert fab.ledger.total == 0 and fab.log == []   # binding sends nothing
+        route.send("iteration[0]")
+        z += 100                                        # write the bound views
+        route.send("iteration[1]")
+        assert [m.kind for m in fab.log] == ["bcd_a", "bcd_b"] * 2
+        assert [(m.rows, m.cols) for m in fab.log] == [(2, 2), (2, 4)] * 2
+        for first, second in zip(fab.log[:2], fab.log[2:]):
+            np.testing.assert_array_equal(second.payload, first.payload + 100)
+        assert fab.ledger.phases["iteration[0]"] == fab.ledger.phases["iteration[1]"] == 24
+        expected = {p: v for p, v in fab.ledger.phases.items() if v}
+        assert dbpnet.replay_totals(fab.dump_log()) == expected
 
 
 class TestLocality:
@@ -268,6 +306,38 @@ class TestMessages:
             assert len(sent) == len(held)
             for payload, z in zip(sent, held):
                 np.testing.assert_array_equal(payload, z[part])
+
+
+@pytest.mark.parametrize("modes", [[dict(sweeps=1), dict(sweeps=5)], [dict(tol=1e-6)]],
+                         ids=["fixed", "tol"])
+def test_ring_routes_are_bound_once_per_solve(monkeypatch, modes):
+    # the sweep loop binds one (bcd_a, bcd_b) route per ring hop, however
+    # many sweeps it runs, on views of the state that the loop steps
+    bound, states = [], []
+    route, iterate = dbpnet.Fabric.route, eq.bcd_iterate
+
+    def spy_route(fabric, src, dst, payloads):
+        if [kind for kind, _ in payloads] == ["bcd_a", "bcd_b"]:
+            bound.append(((src, dst), [arr for _, arr in payloads]))
+        return route(fabric, src, dst, payloads)
+
+    def spy_iterate(*args, after, **kw):
+        def keep(t, i, z):
+            states.append(z)
+            after(t, i, z)
+        return iterate(*args, after=keep, **kw)
+
+    monkeypatch.setattr(dbpnet.Fabric, "route", spy_route)
+    monkeypatch.setattr(eq, "bcd_iterate", spy_iterate)
+    for mode in modes:
+        bound.clear()
+        states.clear()
+        fab, _, _ = _fabric(_cfg(), kind="daisy")
+        res, _ = dbpnet.run_bcd_daisy(fab, 1.0, **mode)
+        assert len(states) == 4 * res.iterations
+        assert [link for link, _ in bound] == [(1, 2), (2, 3), (3, 4), (4, 1)]
+        for _, arrays in bound:
+            assert all(np.shares_memory(a, states[0]) for a in arrays)
 
 
 class TestProtocolEquivalence:
