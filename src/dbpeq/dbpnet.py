@@ -2,10 +2,10 @@
 
 The fabric is an in-process event simulation. Inter-node data moves only
 through routes: :meth:`Fabric.route` checks a link and its payload shapes
-once, and each send of the route counts and logs them (:mod:`dbpeq.ledger`);
-:meth:`Fabric.send` is a one-message route. Distributed-unit state is
-guarded so a protocol driver cannot read another node's raw data outside
-that node's local-computation scope.
+at every bind, and each send of the route, one hop, counts and logs them
+(:mod:`dbpeq.ledger`); :meth:`Fabric.send` is a one-message route.
+Distributed-unit state is guarded so a protocol driver cannot read another
+node's raw data outside that node's local-computation scope.
 
 Protocol drivers reorganize the equalizer computations across nodes but
 call the same helpers as :mod:`dbpeq.equalizers`, so the results match
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import equalizers as eq
 from .ledger import BandwidthLedger, Message, _Route
-from .numerics import NumericsError, RankOutOfRange, hermitize, hpd_solve
+from .numerics import NumericsError, hermitize, hpd_solve
 from .scenario import Realization, balanced_partition, sample_covariance
 
 CU = -1          # central unit id (star topology)
@@ -121,8 +121,6 @@ class Fabric:
         self.ledger = BandwidthLedger(n_coh)
         self.log: list[Message] = []
         self.record_log = record_log
-        # (src, dst) pairs that passed Topology.check_link
-        self._legal_links: set[tuple[int, int]] = set()
 
     @property
     def C(self) -> int:
@@ -143,20 +141,15 @@ class Fabric:
 
     def route(self, src: int, dst: int, payloads) -> "_Route":
         """Bind the ``(kind, payload)`` messages to the link src -> dst, each
-        payload an array counted at 2 real entries per element. An illegal
-        link raises and is never remembered; a payload of over 2 dimensions
-        raises ShapeMismatch."""
-        link = (src, dst)
-        if link not in self._legal_links:
-            self.topology.check_link(src, dst)
-            self._legal_links.add(link)
-        return _Route(self.ledger, self.log if self.record_log else None, link, payloads)
+        payload an array counted at 2 real entries per element. The link is
+        checked at every bind, so an illegal one raises every time; a payload
+        of over 2 dimensions raises ShapeMismatch."""
+        self.topology.check_link(src, dst)
+        return _Route(self.ledger, self.log if self.record_log else None, (src, dst), payloads)
 
-    def send(self, phase: str, src: int, dst: int, kind: str, payload) -> np.ndarray:
-        """Send ``payload`` as a one-message route; returns it as an array."""
-        arr = np.asarray(payload)
-        self.route(src, dst, ((kind, arr),)).send(phase)
-        return arr
+    def send(self, phase: str, src: int, dst: int, kind: str, payload) -> None:
+        """Send ``payload`` as a one-message route."""
+        self.route(src, dst, ((kind, payload),)).send(phase)
 
     def dump_log(self) -> str:
         return "\n".join(m.log_line() for m in self.log)
@@ -185,10 +178,8 @@ def make_fabric(realization: Realization, y: np.ndarray, kind: str, n_coh: int,
                 record_log: bool = False) -> Fabric:
     """Build a fabric whose DUs hold the per-cluster slices of a realization."""
     part = realization.partition
-    dus = []
-    for c in range(part.C):
-        rows = part.rows(c)
-        dus.append(DuState(c + 1, realization.H[rows], realization.noise[rows], y[rows]))
+    blocks = zip(realization.H_blocks(), realization.noise_blocks(), part.split(y))
+    dus = [DuState(c, h, noise, yc) for c, (h, noise, yc) in enumerate(blocks, 1)]
     return Fabric(Topology(kind, part.C), dus, n_coh=n_coh, record_log=record_log)
 
 
@@ -259,16 +250,17 @@ def accumulate_symbols(fabric: Fabric) -> np.ndarray:
 def _ship_to_cu(fabric: Fabric, form: str, read: Callable):
     """DU c ships the arrays ``read(du)`` gives in its scope to the CU.
 
-    They go as ``{form}_channel``, ``{form}_samples`` (preprocessing) and
-    ``{form}_signal`` (symbol estimation); returns the payloads grouped by kind.
+    They go as one ``{form}_channel``, ``{form}_samples`` hop (preprocessing) and
+    a ``{form}_signal`` hop (symbol estimation); returns the arrays grouped by kind.
     """
     sent = []
     for c in range(1, fabric.C + 1):
         with fabric.local(c) as du:
-            channel, samples, signal = read(du)
-        sent.append((fabric.send("preprocessing", c, CU, f"{form}_channel", channel),
-                     fabric.send("preprocessing", c, CU, f"{form}_samples", samples),
-                     fabric.send("symbol_estimation", c, CU, f"{form}_signal", signal)))
+            sent.append(read(du))
+        channel, samples, signal = sent[-1]
+        fabric.route(c, CU, ((f"{form}_channel", channel),
+                             (f"{form}_samples", samples))).send("preprocessing")
+        fabric.send("symbol_estimation", c, CU, f"{form}_signal", signal)
     return zip(*sent)
 
 
@@ -329,10 +321,8 @@ def run_lrd_daisy(fabric: Fabric, r: int) -> None:
         with fabric.local(c) as du:
             d, v = eq.lrd_stage(d, v, du.samples, r)
         if c < fabric.C:
-            fabric.send("lrd", c, fabric.next_du(c), "lrd_d", d)
-            fabric.send("lrd", c, fabric.next_du(c), "lrd_v", v)
-    if v.shape[1] < r:  # each stage keeps min(r, rows so far, N) triplets
-        raise RankOutOfRange(f"rank {r} exceeds min(M, N) = {v.shape[1]}")
+            fabric.route(c, fabric.next_du(c), (("lrd_d", d), ("lrd_v", v))).send("lrd")
+    eq.check_lrd_rank(v, r)
     # ring broadcast of the final V: C -> 1 -> 2 -> ... -> C, one hop per link
     src = fabric.C
     for _ in range(fabric.C):
@@ -388,8 +378,8 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
             factors.append(eq.BcdBlockFactor(du.H, s, es))
         wb.append(w0)
         b_acc = part if b_acc is None else b_acc + part
-        fabric.send("preprocessing", c, fabric.next_du(c), "gram_total", gram)
-        fabric.send("preprocessing", c, fabric.next_du(c), "b_acc", b_acc)
+        fabric.route(c, fabric.next_du(c),
+                     (("gram_total", gram), ("b_acc", b_acc))).send("preprocessing")
     z = np.hstack([hpd_solve(atot, gram), b_acc])
 
     # this sweep's phase, and each hop's route of the bcd_a and bcd_b views

@@ -490,12 +490,17 @@ def lrd_sequential(sample_blocks: Sequence[np.ndarray], r: int
     Runs :func:`lrd_stage` cluster by cluster; the final right factor V
     is broadcast so every cluster can form G_c = S_c @ V. Returns the
     list of G_c (M_c x r) and V (N x r). A rank below 1 fails in the
-    first stage's :func:`truncated_svd`, one above min(M, N) after the
-    last stage, with the messages of :func:`dbpeq.dbpnet.run_lrd_daisy`.
+    first stage's :func:`truncated_svd`, one above min(M, N) in
+    :func:`check_lrd_rank`, which :func:`dbpeq.dbpnet.run_lrd_daisy` shares.
     """
     d = v = None
     for s_c in sample_blocks:
         d, v = lrd_stage(d, v, s_c, r)
-    if v.shape[1] < r:  # each stage keeps min(r, rows so far, N) triplets
-        raise RankOutOfRange(f"rank {r} exceeds min(M, N) = {v.shape[1]}")
+    check_lrd_rank(v, r)
     return [s_c @ v for s_c in sample_blocks], v
+
+
+def check_lrd_rank(v: np.ndarray, r: int) -> None:
+    """The last LRD stage's V keeps min(r, M, N) columns; fewer than r raise."""
+    if v.shape[1] < r:
+        raise RankOutOfRange(f"rank {r} exceeds min(M, N) = {v.shape[1]}")

@@ -1,6 +1,7 @@
-"""Message accounting: a :class:`_Route`, bound by :meth:`dbpeq.dbpnet.Fabric.route`,
-is the one path that adds entries to a :class:`BandwidthLedger` and logs a
-:class:`Message` per payload."""
+"""Message accounting: a :class:`_Route`, bound by :meth:`dbpeq.dbpnet.Fabric.route`
+to the messages of one hop, is the one path that adds entries to a
+:class:`BandwidthLedger` and logs a :class:`Message` per payload; each of its
+sends is one hop, its payloads logged in order under one phase and link."""
 
 from __future__ import annotations
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dbpeq import bench, dbpnet, equalizers as eq
+from dbpeq import bench, dbpnet, equalizers as eq, ledger
 from dbpeq.dbpnet import CU, OUT, LocalityError, TopologyError
 from dbpeq.numerics import ShapeMismatch
 from dbpeq.scenario import (
@@ -48,7 +48,7 @@ def _route_send(fab, phase, src, dst, kind, payload):
 
 
 def _check_illegal_link_raises_every_time(send):
-    # legal links are remembered after one check; illegal ones never are,
+    # every bind checks its link, so an illegal one raises every time,
     # and a failed send or bind counts and logs nothing
     fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
     payload = np.zeros((2, 3))
@@ -338,6 +338,26 @@ def test_ring_routes_are_bound_once_per_solve(monkeypatch, modes):
         assert [link for link, _ in bound] == [(1, 2), (2, 3), (3, 4), (4, 1)]
         for _, arrays in bound:
             assert all(np.shares_memory(a, states[0]) for a in arrays)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", list(dbpnet.ALGORITHMS))
+def test_one_route_send_per_hop(monkeypatch, name):
+    # a hop is a maximal run of logged messages on one (phase, src, dst);
+    # the messages one node passes to another in one phase go as one send
+    sends = []
+    send = ledger._Route.send
+
+    def spy_send(route, phase):
+        sends.append(phase)
+        send(route, phase)
+
+    monkeypatch.setattr(ledger._Route, "send", spy_send)
+    cfg = _cfg()
+    _, fab, _, _ = _cell(cfg, bench.default_algo(name, cfg, T=2, r=4), record_log=True)
+    hops = [(m.phase, m.src, m.dst) for m in fab.log]
+    n_hops = sum(1 for i, hop in enumerate(hops) if i == 0 or hop != hops[i - 1])
+    assert fab.log and len(sends) == n_hops
 
 
 class TestProtocolEquivalence:
