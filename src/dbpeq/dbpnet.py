@@ -1,11 +1,12 @@
 """Simulated DBP fabric: nodes, topologies, message accounting, protocols.
 
-The fabric is an in-process event simulation. Inter-node data moves only
-through routes: :meth:`Fabric.route` checks a link and its payload shapes
-at every bind, and each send of the route, one hop, counts and logs them
-(:mod:`dbpeq.ledger`); :meth:`Fabric.send` is a one-message route.
-Distributed-unit state is guarded so a protocol driver cannot read another
-node's raw data outside that node's local-computation scope.
+The fabric is an in-process event simulation. Each protocol pass walks
+DU 1..C: DU c works in its local-computation scope, then makes its hop,
+one send of a route that :meth:`Fabric.route` checks (link and payload
+shapes) and that counts and logs what it carries (:mod:`dbpeq.ledger`).
+A protocol computes from the same arrays it sends; the payload test in
+``tests/test_dbpnet.py`` checks every hop's payload by value. A DU's raw
+data is guarded so a driver cannot read it outside that DU's scope.
 
 Protocol drivers reorganize the equalizer computations across nodes but
 call the same helpers as :mod:`dbpeq.equalizers`, so the results match
@@ -47,9 +48,11 @@ class Topology:
             raise TopologyError(f"unknown topology {self.kind!r}")
 
     def check_link(self, src: int, dst: int) -> None:
-        if dst == OUT or src == OUT:
-            return
-        if self.kind == "star":
+        """DU <-> CU on a star, c -> c % C + 1 on a daisy; only the CU or DU C links to OUT."""
+        if OUT in (src, dst):
+            if (src, dst) != (CU if self.kind == "star" else self.C, OUT):
+                raise TopologyError(f"only the CU or DU C links to the output, got {src}->{dst}")
+        elif self.kind == "star":
             if CU not in (src, dst):
                 raise TopologyError(f"star permits DU<->CU links only, got {src}->{dst}")
         else:
@@ -198,17 +201,20 @@ def replay_totals(log_text: str) -> dict[str, int]:
 # Reductions shared by the protocols
 # ---------------------------------------------------------------------------
 
-def _reduce(fabric: Fabric, phase: str, kind: str, parts: Sequence[np.ndarray],
+def _reduce(fabric: Fabric, phase: str, kind: str, part_of: Callable,
             last: int = OUT) -> np.ndarray:
-    """Sum the per-DU ``parts`` (DU 1 first) over the fabric; returns the sum.
+    """Sum the parts ``part_of(du)`` of DU 1..C over the fabric; returns the sum.
 
-    On a star each DU sends its part to the CU. On a ring DU c forwards
-    the running sum to DU c+1, and DU C's hop goes to ``last``: the
-    output link for symbol estimates, the ring wrap for a Gram.
+    DU c forms its part in its own scope, at its own hop: on a star it
+    sends the part to the CU; on a ring it forwards the running sum to
+    DU c+1, and DU C's hop goes to ``last``: the output link for symbol
+    estimates, the ring wrap for a Gram.
     """
     star = fabric.topology.kind == "star"
     acc = None
-    for c, part in enumerate(parts, 1):
+    for c in range(1, fabric.C + 1):
+        with fabric.local(c) as du:
+            part = part_of(du)
         acc = part if acc is None else acc + part
         dst = CU if star else (c + 1 if c < fabric.C else last)
         fabric.send(phase, c, dst, kind, part if star else acc)
@@ -220,13 +226,11 @@ def _gram(fabric: Fabric, es: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the summed Gram and Atot = Gram + I/Es.
     """
-    parts = []
-    for c in range(1, fabric.C + 1):
-        with fabric.local(c) as du:
-            q = eq.local_compression(du.H, sample_covariance(du.noise))
-            du.cache["Q"] = q
-            parts.append(q @ du.H)
-    gram = hermitize(_reduce(fabric, "preprocessing", "gram_partial", parts, last=1))
+    def gram_partial(du: DuState) -> np.ndarray:
+        q = du.cache["Q"] = eq.local_compression(du.H, sample_covariance(du.noise))
+        return q @ du.H
+
+    gram = hermitize(_reduce(fabric, "preprocessing", "gram_partial", gram_partial, last=1))
     return gram, gram + np.eye(gram.shape[0]) / es
 
 
@@ -236,11 +240,8 @@ def accumulate_symbols(fabric: Fabric) -> np.ndarray:
     On the ring the last hop is the delivery to the output (decoder)
     link, so the phase counts exactly 2*C*K entries per symbol.
     """
-    parts = []
-    for c in range(1, fabric.C + 1):
-        with fabric.local(c) as du:
-            parts.append(du.cache["W"] @ du.Y)
-    return _reduce(fabric, "symbol_estimation", "symbol_partial", parts)
+    return _reduce(fabric, "symbol_estimation", "symbol_partial",
+                   lambda du: du.cache["W"] @ du.Y)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +325,10 @@ def run_lrd_daisy(fabric: Fabric, r: int) -> None:
             fabric.route(c, fabric.next_du(c), (("lrd_d", d), ("lrd_v", v))).send("lrd")
     eq.check_lrd_rank(v, r)
     # ring broadcast of the final V: C -> 1 -> 2 -> ... -> C, one hop per link
-    src = fabric.C
-    for _ in range(fabric.C):
-        dst = fabric.next_du(src)
-        fabric.send("lrd", src, dst, "lrd_v_broadcast", v)
-        with fabric.local(dst) as du:
+    for c in range(1, fabric.C + 1):
+        fabric.send("lrd", c - 1 or fabric.C, c, "lrd_v_broadcast", v)
+        with fabric.local(c) as du:
             du.cache["G"] = du.samples @ v
-        src = dst
 
 
 def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,

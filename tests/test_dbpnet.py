@@ -1,6 +1,7 @@
 """Fabric simulation: topology rules, locality, ledger-formula equality."""
 
 import gc
+import itertools
 import weakref
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from dbpeq import bench, dbpnet, equalizers as eq, ledger
 from dbpeq.dbpnet import CU, OUT, LocalityError, TopologyError
-from dbpeq.numerics import ShapeMismatch
+from dbpeq.numerics import ShapeMismatch, hermitize
 from dbpeq.scenario import (
     ConfigError,
     SystemConfig,
@@ -95,6 +96,13 @@ class TestTopology:
     def test_out_link_always_allowed(self):
         dbpnet.Topology("daisy", 4).check_link(4, OUT)
         dbpnet.Topology("star", 4).check_link(CU, OUT)
+
+    @pytest.mark.parametrize("kind,src,dst", [
+        ("daisy", 2, OUT), ("daisy", OUT, 1), ("star", 1, OUT), ("star", OUT, CU)])
+    def test_only_the_reduction_end_reaches_out(self, kind, src, dst):
+        # the one output link leaves DU C on a daisy and the CU on a star
+        with pytest.raises(TopologyError):
+            dbpnet.Topology(kind, 4).check_link(src, dst)
 
     def test_unknown_kind(self):
         with pytest.raises(TopologyError):
@@ -358,6 +366,71 @@ def test_one_route_send_per_hop(monkeypatch, name):
     hops = [(m.phase, m.src, m.dst) for m in fab.log]
     n_hops = sum(1 for i, hop in enumerate(hops) if i == 0 or hop != hops[i - 1])
     assert fab.log and len(sends) == n_hops
+
+
+R = 4   # the LRD rank of the payload cells
+
+
+def check_hop_payloads(name):
+    """Run one desk cell of row ``name``, or of run_bdac on a daisy fabric for
+    "bdac-daisy", and check every logged payload by value against arrays
+    formed here from the realization and the library."""
+    cfg = _cfg()
+    if name == "bdac-daisy":
+        fab, rz, blk = _fabric(cfg, kind="daisy", record_log=True)
+        _, shat = dbpnet.run_bdac(fab, cfg.Es)
+    else:
+        shat, fab, rz, blk = _cell(cfg, bench.default_algo(name, cfg, T=2, r=R),
+                                   record_log=True)
+    hs, ns, ys = rz.H_blocks(), rz.noise_blocks(), rz.partition.split(blk.Y)
+    sent = {}
+    for m in fab.log:
+        sent.setdefault(m.kind, []).append(m.payload)
+    want = {}
+
+    def reduced(kind, parts):
+        # a star hop carries DU c's part, a ring hop the running sum to DU c
+        sums = list(itertools.accumulate(parts))
+        want[kind] = parts if fab.topology.kind == "star" else sums
+        return sums[-1]
+
+    if "raw_channel" in sent:
+        want["raw_channel"], want["raw_samples"], want["raw_signal"] = hs, ns, ys
+    if "compressed_channel" in sent:
+        (want["compressed_channel"], want["compressed_samples"],
+         want["compressed_signal"]) = zip(*map(eq.compress_cluster, hs, ys, ns))
+    if "gram_partial" in sent:
+        parts = [eq.local_compression(h, sample_covariance(n)) @ h for h, n in zip(hs, ns)]
+        want["gram_total"] = [hermitize(reduced("gram_partial", parts))] * cfg.C
+    if "symbol_partial" in sent:
+        parts = [fab.du(c).cache["W"] @ y for c, y in enumerate(ys, 1)]
+        np.testing.assert_array_equal(reduced("symbol_partial", parts), shat)
+    samples = [eq.scaled_samples(n) for n in ns]
+    if "lrd_d" in sent:
+        stages, d, v = [], None, None
+        for s in samples:
+            d, v = eq.lrd_stage(d, v, s, R)
+            stages.append((d, v))
+        want["lrd_d"], want["lrd_v"] = zip(*stages[:-1])   # DU C relays nothing
+        samples, v = eq.lrd_sequential(samples, R)   # BCD-LRD's S_c are the G_c
+        want["lrd_v_broadcast"] = [v] * cfg.C
+    if "b_acc" in sent:
+        wb, _, b0 = eq.bdac_state(hs, ns, samples, cfg.Es)
+        np.testing.assert_array_equal(reduced("b_acc", [w @ s for w, s in zip(wb, samples)]), b0)
+    # bcd_a and bcd_b hold the sweep state: test_logged_payloads_equal_the_loop_state
+    assert set(sent) - {"bcd_a", "bcd_b"} == set(want)
+    for kind, arrays in want.items():
+        assert len(sent[kind]) == len(arrays), kind
+        for got, expected in zip(sent[kind], arrays):
+            np.testing.assert_array_equal(got, expected, err_msg=kind)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", [*dbpnet.ALGORITHMS, "bdac-daisy"])
+def test_every_hop_payload_equals_its_value(name):
+    # the log and the ledger see only shapes; a protocol that sends one
+    # array and computes from another must fail here
+    check_hop_payloads(name)
 
 
 class TestProtocolEquivalence:
