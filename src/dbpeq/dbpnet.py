@@ -1,12 +1,12 @@
 """Simulated DBP fabric: nodes, topologies, message accounting, protocols.
 
-The fabric is an in-process event simulation. Each protocol pass walks
-DU 1..C: DU c works in its local-computation scope, then makes its hop,
-one send of a route that :meth:`Fabric.route` checks (link and payload
-shapes) and that counts and logs what it carries (:mod:`dbpeq.ledger`).
-A protocol computes from the same arrays it sends; the payload test in
-``tests/test_dbpnet.py`` checks every hop's payload by value. A DU's raw
-data is guarded so a driver cannot read it outside that DU's scope.
+The fabric is an in-process event simulation; :class:`Topology` is the one
+statement of its graph. Each protocol pass walks DU 1..C: DU c works in its
+local scope, then hops: one send of a route that :meth:`Fabric.route` checks
+(link and payload shapes) and that counts and logs what it carries
+(:mod:`dbpeq.ledger`). A protocol computes from the same arrays it sends,
+checked by value in ``tests/test_dbpnet.py``. A DU's raw data cannot be
+read outside its scope.
 
 Protocol drivers reorganize the equalizer computations across nodes but
 call the same helpers as :mod:`dbpeq.equalizers`, so the results match
@@ -47,19 +47,17 @@ class Topology:
         if self.kind not in ("star", "daisy"):
             raise TopologyError(f"unknown topology {self.kind!r}")
 
+    def next(self, c: int) -> int:
+        """Where DU c's hop goes: the CU on a star, DU c % C + 1 on a daisy."""
+        return CU if self.kind == "star" else c % self.C + 1
+
     def check_link(self, src: int, dst: int) -> None:
-        """DU <-> CU on a star, c -> c % C + 1 on a daisy; only the CU or DU C links to OUT."""
-        if OUT in (src, dst):
-            if (src, dst) != (CU if self.kind == "star" else self.C, OUT):
-                raise TopologyError(f"only the CU or DU C links to the output, got {src}->{dst}")
-        elif self.kind == "star":
-            if CU not in (src, dst):
-                raise TopologyError(f"star permits DU<->CU links only, got {src}->{dst}")
-        else:
-            if src == CU or dst == CU:
-                raise TopologyError("daisy topology has no CU")
-            if dst != src % self.C + 1:
-                raise TopologyError(f"daisy link must be {src}->{src % self.C + 1}, got {src}->{dst}")
+        """A link is DU c -> next(c), CU -> DU c on a star, or the one output link."""
+        star = self.kind == "star"
+        if not ((1 <= src <= self.C and dst == self.next(src))
+                or (star and src == CU and 1 <= dst <= self.C)
+                or (src, dst) == (CU if star else self.C, OUT)):
+            raise TopologyError(f"{self.kind} topology has no link {src}->{dst}")
 
 
 class DuState:
@@ -131,9 +129,6 @@ class Fabric:
 
     def du(self, c: int) -> DuState:
         return self.dus[c]
-
-    def next_du(self, c: int) -> int:
-        return c % self.C + 1
 
     def local(self, c: int) -> "_LocalScope":
         """Scope in which only DU c's raw data may be read; yields DU c.
@@ -216,7 +211,7 @@ def _reduce(fabric: Fabric, phase: str, kind: str, part_of: Callable,
         with fabric.local(c) as du:
             part = part_of(du)
         acc = part if acc is None else acc + part
-        dst = CU if star else (c + 1 if c < fabric.C else last)
+        dst = last if c == fabric.C and not star else fabric.topology.next(c)
         fabric.send(phase, c, dst, kind, part if star else acc)
     return acc
 
@@ -296,7 +291,7 @@ def run_bdac(fabric: Fabric, es: float) -> tuple[eq.EqualizerResult, np.ndarray]
     star = fabric.topology.kind == "star"
     blocks = []
     for c in range(1, fabric.C + 1):
-        src, dst = (CU, c) if star else (c, fabric.next_du(c))
+        src, dst = (CU, c) if star else (c, fabric.topology.next(c))
         fabric.send("preprocessing", src, dst, "gram_total", gram)
         with fabric.local(c) as du:
             wc = hpd_solve(atot, du.cache["Q"])
@@ -322,7 +317,7 @@ def run_lrd_daisy(fabric: Fabric, r: int) -> None:
         with fabric.local(c) as du:
             d, v = eq.lrd_stage(d, v, du.samples, r)
         if c < fabric.C:
-            fabric.route(c, fabric.next_du(c), (("lrd_d", d), ("lrd_v", v))).send("lrd")
+            fabric.route(c, fabric.topology.next(c), (("lrd_d", d), ("lrd_v", v))).send("lrd")
     eq.check_lrd_rank(v, r)
     # ring broadcast of the final V: C -> 1 -> 2 -> ... -> C, one hop per link
     for c in range(1, fabric.C + 1):
@@ -376,7 +371,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
             factors.append(eq.BcdBlockFactor(du.H, s, es))
         wb.append(w0)
         b_acc = part if b_acc is None else b_acc + part
-        fabric.route(c, fabric.next_du(c),
+        fabric.route(c, fabric.topology.next(c),
                      (("gram_total", gram), ("b_acc", b_acc))).send("preprocessing")
     z = np.hstack([hpd_solve(atot, gram), b_acc])
 
@@ -390,7 +385,7 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
             phase = f"iteration[{t}]"
             if t == 0:
                 payloads = (("bcd_a", z[:, :k]), ("bcd_b", z[:, k:]))
-                routes[:] = [fabric.route(c, fabric.next_du(c), payloads) for c in ring]
+                routes[:] = [fabric.route(c, fabric.topology.next(c), payloads) for c in ring]
         routes[i].send(phase)
 
     n_sweeps = eq.bcd_iterate(factors, wb, z, limit, tol,

@@ -74,6 +74,11 @@ def _check_counts_by_size_and_rejects_over_two_dimensions(send):
     assert fab.ledger.phases["preprocessing"] == 24
 
 
+# links of C = 4 fabrics with an end that is no node, or the CU's loop
+NONEXISTENT_LINKS = [("star", CU, CU), ("star", 9, CU), ("star", CU, 0), ("star", CU, 5),
+                     ("star", 0, CU), ("daisy", 0, 1), ("daisy", 8, 1), ("daisy", 5, 2)]
+
+
 class TestTopology:
     def test_star_rejects_du_to_du(self):
         top = dbpnet.Topology("star", 4)
@@ -101,6 +106,13 @@ class TestTopology:
         ("daisy", 2, OUT), ("daisy", OUT, 1), ("star", 1, OUT), ("star", OUT, CU)])
     def test_only_the_reduction_end_reaches_out(self, kind, src, dst):
         # the one output link leaves DU C on a daisy and the CU on a star
+        with pytest.raises(TopologyError):
+            dbpnet.Topology(kind, 4).check_link(src, dst)
+
+    @pytest.mark.parametrize("kind,src,dst", NONEXISTENT_LINKS)
+    def test_links_of_nonexistent_nodes_raise(self, kind, src, dst):
+        # DUs are 1..4: a link to or from any other DU id, or from the CU
+        # to itself, is one that no protocol can take
         with pytest.raises(TopologyError):
             dbpnet.Topology(kind, 4).check_link(src, dst)
 
@@ -371,17 +383,21 @@ def test_one_route_send_per_hop(monkeypatch, name):
 R = 4   # the LRD rank of the payload cells
 
 
-def check_hop_payloads(name):
-    """Run one desk cell of row ``name``, or of run_bdac on a daisy fabric for
-    "bdac-daisy", and check every logged payload by value against arrays
-    formed here from the realization and the library."""
+def _logged_cell(name):
+    """One logged desk cell of row ``name``, or of run_bdac on a daisy fabric
+    for "bdac-daisy": (estimates, fabric, realization, block)."""
     cfg = _cfg()
     if name == "bdac-daisy":
         fab, rz, blk = _fabric(cfg, kind="daisy", record_log=True)
-        _, shat = dbpnet.run_bdac(fab, cfg.Es)
-    else:
-        shat, fab, rz, blk = _cell(cfg, bench.default_algo(name, cfg, T=2, r=R),
-                                   record_log=True)
+        return dbpnet.run_bdac(fab, cfg.Es)[1], fab, rz, blk
+    return _cell(cfg, bench.default_algo(name, cfg, T=2, r=R), record_log=True)
+
+
+def check_hop_payloads(name):
+    """Run :func:`_logged_cell` of ``name`` and check every logged payload by
+    value against arrays formed here from the realization and the library."""
+    cfg = _cfg()
+    shat, fab, rz, blk = _logged_cell(name)
     hs, ns, ys = rz.H_blocks(), rz.noise_blocks(), rz.partition.split(blk.Y)
     sent = {}
     for m in fab.log:
@@ -431,6 +447,28 @@ def test_every_hop_payload_equals_its_value(name):
     # the log and the ledger see only shapes; a protocol that sends one
     # array and computes from another must fail here
     check_hop_payloads(name)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_accepted_links_are_the_traffic():
+    # check_link accepts a link exactly when some protocol takes it, with one
+    # exception: the star's symbol reduction ends at the CU, so no row sends
+    # CU -> OUT, and test_out_link_always_allowed pins that link
+    c = _cfg().C
+    logged = {"star": set(), "daisy": set()}
+    for name in [*dbpnet.ALGORITHMS, "bdac-daisy"]:
+        fab = _logged_cell(name)[1]
+        logged[fab.topology.kind] |= {(m.src, m.dst) for m in fab.log}
+    for kind, links in logged.items():
+        top, accepted = dbpnet.Topology(kind, c), set()
+        for link in itertools.product([OUT, CU, *range(c + 2)], repeat=2):
+            try:
+                top.check_link(*link)
+                accepted.add(link)
+            except TopologyError:
+                pass
+        assert links <= accepted, kind
+        assert accepted - links == ({(CU, OUT)} if kind == "star" else set()), kind
 
 
 class TestProtocolEquivalence:
