@@ -23,7 +23,7 @@ import numpy as np
 
 from . import equalizers as eq
 from .ledger import BandwidthLedger, Message, _Route
-from .numerics import NumericsError, hermitize, hpd_solve
+from .numerics import NumericsError, hpd_solve
 from .scenario import Realization, balanced_partition, sample_covariance
 
 CU = -1          # central unit id (star topology)
@@ -217,16 +217,13 @@ def _reduce(fabric: Fabric, phase: str, kind: str, part_of: Callable,
 
 
 def _gram(fabric: Fabric, es: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each DU caches Q_c; the Gram partials Q_c H_c are reduced.
-
-    Returns the summed Gram and Atot = Gram + I/Es.
-    """
+    """Each DU caches Q_c; returns (Gram, Atot), ``eq.bdac_operators`` of the summed Q_c H_c."""
     def gram_partial(du: DuState) -> np.ndarray:
         q = du.cache["Q"] = eq.local_compression(du.H, sample_covariance(du.noise))
         return q @ du.H
 
-    gram = hermitize(_reduce(fabric, "preprocessing", "gram_partial", gram_partial, last=1))
-    return gram, gram + np.eye(gram.shape[0]) / es
+    gram = _reduce(fabric, "preprocessing", "gram_partial", gram_partial, last=1)
+    return eq.bdac_operators(gram, es)
 
 
 def accumulate_symbols(fabric: Fabric) -> np.ndarray:

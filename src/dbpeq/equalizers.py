@@ -84,11 +84,16 @@ def local_compression(h_c: np.ndarray, r_cc: np.ndarray) -> np.ndarray:
     return hpd_solve(r_cc, h_c).conj().T
 
 
+def bdac_operators(gram_sum: np.ndarray, es: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Gram, Atot): the hermitized Gram sum_c Q_c H_c and Atot = Gram + I/Es."""
+    gram = hermitize(gram_sum)
+    return gram, gram + np.eye(gram.shape[0]) / es
+
+
 def _bdac(h_blocks, r_blocks, es: float):
-    """(BDAC blocks W_c = Atot^-1 Q_c, hermitized Gram sum_c Q_c H_c, Atot = Gram + I/Es)."""
+    """(BDAC blocks W_c = Atot^-1 Q_c, Gram, Atot), with :func:`bdac_operators`."""
     qs = [local_compression(hc, rc) for hc, rc in zip(h_blocks, r_blocks)]
-    gram = hermitize(sum(q @ hc for q, hc in zip(qs, h_blocks)))
-    atot = gram + np.eye(gram.shape[0]) / es
+    gram, atot = bdac_operators(sum(q @ hc for q, hc in zip(qs, h_blocks)), es)
     return [hpd_solve(atot, q) for q in qs], gram, atot
 
 

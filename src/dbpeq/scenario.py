@@ -12,8 +12,9 @@ channel substream, and :func:`draw_symbols` the symbols and data-noise
 draws from its symbol substream; neither depends on the SNR, and both
 return read-only arrays, since every SNR of the trial shares them.
 :func:`scale_channel` and :func:`scale_symbols` turn them into the pilot
-noise and the received signals at one SNR and IoT. :func:`gen_realization`
-and :func:`gen_symbol_block` are draw then scale.
+noise and the received signals at one SNR and IoT, both by the one noise
+law, :func:`colored_noise`. :func:`gen_realization` and
+:func:`gen_symbol_block` are draw then scale.
 """
 
 from __future__ import annotations
@@ -210,15 +211,26 @@ def draw_channel(cfg: SystemConfig, trial: int) -> tuple[np.ndarray, ...]:
     return _read_only(h, hbar, w, z)
 
 
-def scale_channel(cfg: SystemConfig, draw: tuple[np.ndarray, ...]) -> Realization:
-    """The realization of a :func:`draw_channel` draw at cfg's SNR and IoT.
+def colored_noise(cfg: SystemConfig, hbar: np.ndarray, w: np.ndarray, z: np.ndarray,
+                  signal: Optional[np.ndarray] = None) -> np.ndarray:
+    """signal + sqrt(beta*Es)*Hbar@w + sqrt(N0)*z at cfg's SNR and IoT, a new array.
 
-    Pilot noise column i is sqrt(beta*Es)*Hbar@w_i + sqrt(N0)*z_i, so the
-    sample covariance converges to beta*Es*Hbar@Hbar^H + N0*I.
+    The one noise law of pilots and data: for CN(0, 1) draws w and z, a
+    column's noise has covariance beta*Es*Hbar@Hbar^H + N0*I. The terms
+    are summed in place into the returned array.
     """
-    h, hbar, w, z = draw
     n0, beta = derive_powers(cfg)
-    noise = np.sqrt(beta * cfg.Es) * (hbar @ w) + np.sqrt(n0) * z
+    acc = np.sqrt(beta * cfg.Es) * (hbar @ w)
+    if signal is not None:
+        acc += signal
+    acc += np.sqrt(n0) * z
+    return acc
+
+
+def scale_channel(cfg: SystemConfig, draw: tuple[np.ndarray, ...]) -> Realization:
+    """The realization of a :func:`draw_channel` draw at cfg's SNR and IoT."""
+    h, hbar, w, z = draw
+    noise = colored_noise(cfg, hbar, w, z)
     return Realization(
         H=h, Hbar=hbar, noise=noise, partition=balanced_partition(cfg.M, cfg.C)
     )
@@ -248,8 +260,7 @@ def scale_symbols(cfg: SystemConfig, realization: Realization,
                   draw: tuple[np.ndarray, ...]) -> SymbolBlock:
     """The symbol block of a :func:`draw_symbols` draw at cfg's SNR and IoT."""
     s, w, z = draw
-    n0, beta = derive_powers(cfg)
-    y = realization.H @ s + np.sqrt(beta * cfg.Es) * (realization.Hbar @ w) + np.sqrt(n0) * z
+    y = colored_noise(cfg, realization.Hbar, w, z, signal=realization.H @ s)
     return SymbolBlock(S=s, Y=y)
 
 

@@ -164,6 +164,25 @@ class TestGeneration:
         rhat = sample_covariance(rz.noise)
         np.testing.assert_allclose(rhat, np.eye(16), atol=0.1)
 
+    def test_white_data_noise_covariance_is_scaled_identity(self):
+        # the data follow the pilots' law: Y - H S is the data noise
+        cfg = _cfg(M=16, n_coh=4096, iot_db=0.0, snr_db=0.0)
+        rz = gen_realization(cfg, 0)
+        blk = gen_symbol_block(cfg, rz, 0)
+        rhat = sample_covariance(blk.Y - rz.H @ blk.S)
+        np.testing.assert_allclose(rhat, np.eye(16), atol=0.1)
+
+    def test_colored_data_noise_covariance(self):
+        # the data noise's covariance is beta*Es*Hbar@Hbar^H + N0*I
+        cfg = _cfg(M=16, n_coh=8192, snr_db=10.0, iot_db=10.0)
+        rz = gen_realization(cfg, 0)
+        blk = gen_symbol_block(cfg, rz, 0)
+        n0, beta = derive_powers(cfg)
+        want = beta * cfg.Es * rz.Hbar @ rz.Hbar.conj().T + n0 * np.eye(16)
+        rhat = sample_covariance(blk.Y - rz.H @ blk.S)
+        gap = np.linalg.norm(rhat - want) / np.linalg.norm(want)
+        assert gap < 0.05, f"data noise covariance is {gap:.3f} from the law (relative Frobenius)"
+
     def test_sample_covariance_oracle(self):
         rng = np.random.default_rng(1)
         n = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
