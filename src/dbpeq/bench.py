@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -177,6 +176,9 @@ def run_sweep(spec: RunSpec) -> SerReport:
     if workers <= 1:
         per_trial = list(map(_run_trial, *args))
     else:
+        # imported here: a one-worker process never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # Executor.map yields in submission order, so trial order is fixed
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_run_trial, *args))

@@ -26,18 +26,20 @@ from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.blas import daxpy as _daxpy, ddot as _ddot, dgemm as _dgemm
-from scipy.linalg.lapack import zpotrs as _zpotrs
 
 from .numerics import (
     NotPositiveDefinite,
     RankOutOfRange,
     ShapeMismatch,
+    daxpy,
+    ddot,
+    dgemm,
     hermitize,
     hpd_factor,
     hpd_factor_solve,
     hpd_solve,
     truncated_svd,
+    zpotrs,
 )
 from .scenario import ConfigError, sample_covariance, whole_number
 
@@ -290,7 +292,7 @@ def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray) -> Non
     a_others = z[:, :k] - w_c @ h_c
     b_others = z[:, k:] - w_c @ samples_c
     num = block.hh_es - a_others @ block.hh_es - b_others @ block.sh
-    w_new, _ = _zpotrs(block.chol, num.conj().T, lower=1)
+    w_new, _ = zpotrs(block.chol, num.conj().T, lower=1)
     w_new = w_new.conj().T
     w_c[...] = w_new
     np.add(a_others, w_new @ h_c, out=z[:, :k])
@@ -318,8 +320,8 @@ def bcd_newton_step(block: BcdBlockFactor, rt: np.ndarray, dt: np.ndarray) -> No
     """
     # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c: positional, because
     # the wrapper takes about 0.3 us longer to parse a keyword
-    if (_dgemm(1.0, block.pt, rt, 0.0, dt, 0, 0, 1) is not dt
-            or _dgemm(1.0, block.xt, dt, 1.0, rt, 0, 0, 1) is not rt):
+    if (dgemm(1.0, block.pt, rt, 0.0, dt, 0, 0, 1) is not dt
+            or dgemm(1.0, block.xt, dt, 1.0, rt, 0, 0, 1) is not rt):
         raise ShapeMismatch("bcd_newton_step needs Fortran-ordered float64 rt and dt, "
                             f"got {rt.dtype} {rt.shape} and {dt.dtype} {dt.shape}")
 
@@ -405,8 +407,8 @@ def bcd_iterate(factors: Sequence[BcdBlockFactor], wb: list, z: np.ndarray,
             if after is not None:
                 after(t, i, state)
         if converge:
-            _daxpy(d_all, w_all)  # W += D: 1.0 * D is exact, so the bits of +
-            if _ddot(d_all, d_all) <= tol2 * max(_ddot(w_all, w_all), 1e-300):
+            daxpy(d_all, w_all)  # W += D: 1.0 * D is exact, so the bits of +
+            if ddot(d_all, d_all) <= tol2 * max(ddot(w_all, w_all), 1e-300):
                 ran = t + 1
                 break
     wb[:] = [w.copy() for w in w_blocks]

@@ -8,15 +8,58 @@ Matrix inverses are never formed explicitly; every ``inv(A) @ B``
 expression in the equalizer math is realized as a Cholesky solve here.
 An HPD input is checked, not symmetrized (its producer calls
 :func:`hermitize`), and its lower triangle is factored.
+
+This is the one module that binds scipy. The package needs five of its
+compiled routines: ``dgemm``, ``daxpy`` and ``ddot`` from BLAS, and
+``zpotrf`` and ``zpotrs`` from LAPACK. :func:`_scipy_linalg_module` loads
+scipy's f2py extensions ``scipy.linalg._fblas`` and
+``scipy.linalg._flapack`` from their files, under those names, so
+``scipy/linalg/__init__.py`` never runs: it clones numpy's namespace and
+would load about 300 more modules, ``numpy.f2py`` and ``numpy.testing``
+among them. The routines are the very objects that ``scipy.linalg.blas``
+and ``scipy.linalg.lapack`` export, in either import order, so no result
+moves by a bit. A missing file raises :class:`ImportError`.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import warnings
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf as _zpotrf, zpotrs as _zpotrs
+
+
+def _scipy_linalg_module(name: str):
+    """scipy's compiled ``scipy.linalg.<name>``, without running ``scipy.linalg``'s ``__init__``.
+
+    An entry already in ``sys.modules`` (``scipy.linalg`` was imported
+    first) is reused; otherwise the module is registered there, so a
+    later ``import scipy.linalg`` reuses it.
+    """
+    qualname = f"scipy.linalg.{name}"
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("dbpeq needs scipy", name="scipy")
+    where = Path(scipy.origin).parent / "linalg"
+    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(qualname)
+    if spec is None:
+        raise ImportError(f"no compiled {name} in {where}", name=qualname, path=str(where))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_fblas = _scipy_linalg_module("_fblas")
+_flapack = _scipy_linalg_module("_flapack")
+dgemm, daxpy, ddot = _fblas.dgemm, _fblas.daxpy, _fblas.ddot
+zpotrf, zpotrs = _flapack.zpotrf, _flapack.zpotrs
 
 HERM_TOL = 1e-10
 RIDGE_EPS = 1e-12
@@ -92,7 +135,7 @@ def hpd_factor(a: np.ndarray) -> np.ndarray:
     asym = float(np.linalg.norm(a - a.conj().T))
     if asym > HERM_TOL and asym > HERM_TOL * float(np.linalg.norm(a)):
         raise NotHermitian(f"asymmetry {asym:.3e} beyond tolerance")
-    chol, info = _zpotrf(a, lower=1, clean=0)
+    chol, info = zpotrf(a, lower=1, clean=0)
     if info > 0:
         _ridge_retries += 1
         ridge = RIDGE_EPS * np.trace(a).real / n
@@ -101,7 +144,7 @@ def hpd_factor(a: np.ndarray) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-        chol, info = _zpotrf(a + ridge * np.eye(n), lower=1, clean=0)
+        chol, info = zpotrf(a + ridge * np.eye(n), lower=1, clean=0)
         if info > 0:
             raise NotPositiveDefinite(
                 "factorization pivot <= 0 even after ridge; "
@@ -117,7 +160,7 @@ def hpd_factor_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     if np.ndim(chol) != 2 or b.ndim == 0 or b.shape[0] != chol.shape[0]:
         raise ShapeMismatch(f"rhs {b.shape} does not fit factor {np.shape(chol)}")
-    x, info = _zpotrs(chol, b, lower=1)
+    x, info = zpotrs(chol, b, lower=1)
     if info < 0:
         raise NumericsError(f"zpotrs rejected argument {-info}")
     return x

@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import dbpnet, equalizers as eq
 from .bench import default_algo
@@ -132,7 +131,12 @@ def check_dr_mse_ordering(cfg: SystemConfig, count: int) -> CheckResult:
         qs = [eq.local_compression(hc, sample_covariance(nc))
               for hc, nc in zip(rz.H_blocks(), rz.noise_blocks())]
         e_s = eq.mse_matrix(rz.H, rhat, np.hstack(qs), cfg.Es)
-        e_c = eq.mse_matrix(rz.H, rhat, block_diag(*qs), cfg.Es)
+        q_cat = np.zeros((cfg_t.C * cfg_t.K, cfg_t.M), dtype=np.complex128)
+        row = col = 0
+        for q in qs:  # concatenated: each K x M_c block Q_c in its own rows and columns
+            q_cat[row:row + q.shape[0], col:col + q.shape[1]] = q
+            row, col = row + q.shape[0], col + q.shape[1]
+        e_c = eq.mse_matrix(rz.H, rhat, q_cat, cfg.Es)
         diff = 0.5 * ((e_s - e_c) + (e_s - e_c).conj().T)
         scale = abs(np.trace(diff).real) + 1e-300
         worst = min(worst, np.linalg.eigvalsh(diff).min() / scale)

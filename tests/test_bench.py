@@ -1,5 +1,6 @@
 """Monte-Carlo harness: determinism, failure policy, ordering test."""
 
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -160,7 +161,7 @@ class TestRunSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         serial = bench.run_sweep(_spec(trials=2, workers=1)).to_csv()
         assert made == []
         assert bench.run_sweep(_spec(trials=2, workers=8)).to_csv() == serial

@@ -1,14 +1,16 @@
 """CLI contract: subcommands, exit codes, config round-trip."""
 
 import ast
+import ctypes
 import hashlib
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dbpeq import bench, cli, dbpnet, equalizers, verify
+from dbpeq import bench, cli, dbpnet, equalizers, numerics, verify
 from dbpeq.scenario import SystemConfig
 
 
@@ -21,6 +23,24 @@ BASE = ["--M", "16", "--K", "4", "--C", "4", "--N", "64",
 # a one-trial lmmse run, as a config and as flags
 DESK = {"M": 16, "ncoh": 48, "trials": 1, "snr": "10", "algorithms": "lmmse"}
 DESK_FLAGS = ["--M", "16", "--ncoh", "48", "--trials", "1", "--algorithms", "lmmse"]
+# the OpenBLAS core the two digests were pinned under; the CSV's mse bits
+# differ under another kernel (Haswell, for one)
+PINNED_CORE = "SkylakeX"
+
+
+def _openblas_builds() -> str:
+    """The build and core that scipy's and numpy's OpenBLAS report, read from the loaded libraries."""
+    found = []
+    for owner, module, symbol in [
+            ("scipy", numerics._fblas, "scipy_openblas_get_config"),
+            ("numpy", np._core._multiarray_umath, "scipy_openblas_get_config64_")]:
+        get_config = getattr(ctypes.CDLL(module.__file__), symbol, None)
+        if get_config is None:
+            found.append(f"{owner}: no {symbol}")
+            continue
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        found.append(f"{owner}: {get_config().decode()}")
+    return f"pinned under OpenBLAS core {PINNED_CORE}; this run: " + "; ".join(found)
 
 
 class TestHelp:
@@ -208,7 +228,7 @@ class TestRun:
                      "--out", str(tmp_path / "r.csv"),
                      "--dump-messages", str(log)]) == 0
         assert hashlib.sha256(log.read_bytes()).hexdigest() == \
-            "0d7fb6538e00e3a06c7845a104f1b9569c93cc656f087427eb2b4c437dd70ed4"
+            "0d7fb6538e00e3a06c7845a104f1b9569c93cc656f087427eb2b4c437dd70ed4", _openblas_builds()
 
     def test_csv_digest(self, tmp_path):
         # the default sweep of every algorithm, 2 trials: a change to any
@@ -217,7 +237,7 @@ class TestRun:
         assert _run(["run", "--algorithms", "zf,lmmse,bdac,sdr,cdr,bcd,bcd-lrd",
                      "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "355e6a5c8af3455f9e96bc3bbd3148b3537615f5cd3a77a2384e96b37d35da2c"
+            "355e6a5c8af3455f9e96bc3bbd3148b3537615f5cd3a77a2384e96b37d35da2c", _openblas_builds()
 
     def test_dump_messages_logs_a_failing_cell(self, tmp_path):
         # cdr's compressed covariance has rank N = 8 < C*K = 16; the sweep

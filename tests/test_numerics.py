@@ -1,10 +1,17 @@
 """Linear algebra kernel tests against independent numpy oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from dbpeq import numerics
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _rand_complex(rng, shape):
@@ -229,3 +236,37 @@ class TestSvd:
                 np.testing.assert_array_equal(dec.U, full.U[:, :r])
                 np.testing.assert_array_equal(dec.S, full.S[:r])
                 np.testing.assert_array_equal(dec.V, full.V[:, :r])
+
+
+def _fresh_python(code: str) -> list[str]:
+    """The words a new interpreter prints for ``code``, with the package on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestScipyBinding:
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg's __init__ loads about 300 modules the package never calls
+        assert _fresh_python("import sys, dbpeq, dbpeq.cli\n"
+                             "print('scipy.linalg' in sys.modules)") == ["False"]
+
+    @pytest.mark.parametrize("first", ["dbpeq", "scipy.linalg"])
+    def test_routines_are_scipys_own(self, first):
+        # the very objects scipy.linalg exports, whichever is imported first:
+        # that identity is what keeps every bit
+        words = _fresh_python(
+            f"import {first}\n"
+            "from dbpeq import numerics\n"
+            "from scipy.linalg import blas, lapack\n"
+            "for name, mod in [('dgemm', blas), ('daxpy', blas), ('ddot', blas),\n"
+            "                  ('zpotrf', lapack), ('zpotrs', lapack)]:\n"
+            "    print(name, getattr(numerics, name) is getattr(mod, name))")
+        assert words == ["dgemm", "True", "daxpy", "True", "ddot", "True",
+                         "zpotrf", "True", "zpotrs", "True"]
+
+    def test_missing_extension_names_the_path(self):
+        with pytest.raises(ImportError, match=r"^no compiled _absent in .*scipy.linalg$"):
+            numerics._scipy_linalg_module("_absent")
