@@ -220,13 +220,16 @@ def _fmt_frac(x: Fraction) -> str:
 def cmd_bandwidth(args: argparse.Namespace) -> int:
     try:
         settings = _merged_settings(args)
-        spec = _build_spec(settings, names=dbpnet.ALGORITHMS)
+        # interf 0 gives bcd-lrd no default rank: its row fails and the six others run
+        unranked = settings["r"] is None and settings["interf"] == 0
+        spec = _build_spec(settings, names=[a for a in dbpnet.ALGORITHMS
+                                            if not (unranked and a == "bcd-lrd")])
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail_config(str(exc))
 
     cfg = spec.cfg
-    lrd = next(a for a in spec.algorithms if a.name == "bcd-lrd")
-    m, k, c, n, t, r, ncoh = cfg.M, cfg.K, cfg.C, cfg.N, lrd.T, lrd.r, cfg.n_coh
+    lrd = spec.algorithms[-1]  # bcd-lrd, or bcd when unranked; both take T
+    m, k, c, n, t, r, ncoh = cfg.M, cfg.K, cfg.C, cfg.N, lrd.T, lrd.r or 0, cfg.n_coh
     print(f"M={m} K={k} C={c} N={n} T={t} r={r} ncoh={ncoh}")
     print(f"{'algorithm':<12} {'formula':>14} {'ledger':>14} {'match':>6}")
     ok = True
@@ -238,12 +241,15 @@ def cmd_bandwidth(args: argparse.Namespace) -> int:
         print(f"{algo.name:<12} {_fmt_frac(want):>14} {_fmt_frac(got):>14} "
               f"{'yes' if got == want else 'NO':>6}")
         # the note's figures are for the bcd-lrd rank, so only a row that ran has them
-        if algo is lrd:
+        if algo.name == "bcd-lrd":
             aggregate = dbpnet.formula_bcd_lrd_aggregate(c, m, k, n, t, r, ncoh)
             print(f"note: bcd-lrd aggregate closed form {_fmt_frac(aggregate)} exceeds "
                   f"the itemized schedule by {_fmt_frac(aggregate - want)} "
                   f"({2 * n * r}/{ncoh} per symbol); the ledger follows the itemized schedule")
-    return 0 if ok else 1
+    if unranked:
+        print(f"{'bcd-lrd':<12} {'-':>14} {'FAIL':>14} LRD rank r = interf = 0, "
+              f"but r must be >= 1; give --r")
+    return 0 if ok and not unranked else 1
 
 
 def _add_settings_flags(p: argparse.ArgumentParser, keys: Sequence[str]) -> None:

@@ -372,18 +372,15 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
                      (("gram_total", gram), ("b_acc", b_acc))).send("preprocessing")
     z = np.hstack([hpd_solve(atot, gram), b_acc])
 
-    # this sweep's phase, and each hop's route of the bcd_a and bcd_b views
-    # of the one state that the loop steps in place, bound at the first hop
-    phase, routes = "", []
+    # each hop's route of the bcd_a and bcd_b views of the one state that the
+    # loop steps in place, bound at the first hop; hop i of sweep t charges sweep t
+    routes = []
 
     def pass_on(t: int, i: int, z: np.ndarray) -> None:
-        nonlocal phase
-        if i == 0:
-            phase = f"iteration[{t}]"
-            if t == 0:
-                payloads = (("bcd_a", z[:, :k]), ("bcd_b", z[:, k:]))
-                routes[:] = [fabric.route(c, fabric.topology.next(c), payloads) for c in ring]
-        routes[i].send(phase)
+        if t == i == 0:
+            payloads = (("bcd_a", z[:, :k]), ("bcd_b", z[:, k:]))
+            routes[:] = [fabric.route(c, fabric.topology.next(c), payloads) for c in ring]
+        routes[i].send(t)
 
     n_sweeps = eq.bcd_iterate(factors, wb, z, limit, tol,
                               scopes=[fabric.local(c) for c in ring], after=pass_on)

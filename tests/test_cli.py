@@ -429,6 +429,16 @@ class TestBandwidth:
         assert _run(["bandwidth", "--interf", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[0].split()[5] == "r=2"
 
+    def test_no_interferers_fail_only_the_lrd_row(self, capsys):
+        # interf 0 leaves bcd-lrd no default rank; it ended in a config error, exit 2
+        assert _run(["bandwidth", "--interf", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[5] == "r=0"
+        fails = [ln for ln in lines if "FAIL" in ln]
+        assert len(fails) == 1 and fails[0].split()[0] == "bcd-lrd"
+        assert "rank r" in fails[0] and "--r" in fails[0]
+        assert sum(ln.endswith("yes") for ln in lines) == 6
+
     def test_bad_params_exit_2(self, tmp_path, capsys):
         assert _run(["bandwidth", "--M", "4", "--K", "8"]) == 2
         (tmp_path / "c.json").write_text(json.dumps({"M": 16.9}))

@@ -48,6 +48,13 @@ def _route_send(fab, phase, src, dst, kind, payload):
     fab.route(src, dst, ((kind, payload),)).send(phase)
 
 
+def _per_phase(ledger):
+    """Both stores of ``ledger`` as one dict of phase name to entries, sweep t
+    under the name ``iteration[t]`` that its messages are logged under."""
+    sweeps = {f"iteration[{t}]": v for t, v in enumerate(ledger.sweep_phases)}
+    return {**ledger.phases, **sweeps}
+
+
 def _check_illegal_link_raises_every_time(send):
     # every bind checks its link, so an illegal one raises every time,
     # and a failed send or bind counts and logs nothing
@@ -266,20 +273,34 @@ class TestMessages:
         fab, _, _ = _fabric(cfg, kind="daisy", record_log=True)
         dbpnet.run_bcd_daisy(fab, 1.0, sweeps=2)
         totals = dbpnet.replay_totals(fab.dump_log())
+        phases = _per_phase(fab.ledger)
         assert sum(totals.values()) == fab.ledger.total
-        assert totals["preprocessing"] == fab.ledger.phases["preprocessing"]
-        assert totals["iteration[0]"] == fab.ledger.phases["iteration[0]"]
-        assert totals["iteration[1]"] == fab.ledger.phases["iteration[1]"]
-        assert totals["symbol_estimation"] == fab.ledger.phases["symbol_estimation"]
+        assert totals["preprocessing"] == phases["preprocessing"]
+        assert totals["iteration[0]"] == phases["iteration[0]"]
+        assert totals["iteration[1]"] == phases["iteration[1]"]
+        assert totals["symbol_estimation"] == phases["symbol_estimation"]
 
     def test_replay_matches_ledger_in_tol_mode(self):
         fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
         res, _ = dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-6)
         assert res.iterations > 1
-        sweeps = [p for p in fab.ledger.phases if p.startswith("iteration[")]
+        phases = _per_phase(fab.ledger)
+        sweeps = [p for p in phases if p.startswith("iteration[")]
         assert sweeps == [f"iteration[{t}]" for t in range(res.iterations)]
-        expected = {p: v for p, v in fab.ledger.phases.items() if v}
+        expected = {p: v for p, v in phases.items() if v}
         assert dbpnet.replay_totals(fab.dump_log()) == expected
+
+    def test_a_sweep_costs_one_list_slot(self):
+        # a capped tol-mode run: the named phases stay the three of a fresh
+        # ledger, each sweep adds one slot, and the log still names iteration[t]
+        c, k, n = 4, 4, 8
+        fab, _, _ = _fabric(_cfg(N=n), kind="daisy", record_log=True)
+        res, _ = dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-300, max_sweeps=1000)
+        assert res.iterations == 1000
+        assert list(fab.ledger.phases) == ["preprocessing", "lrd", "symbol_estimation"]
+        assert fab.ledger.sweep_phases == [2 * c * k * (k + n)] * 1000
+        assert dbpnet.replay_totals(fab.dump_log()) == \
+            {p: v for p, v in _per_phase(fab.ledger).items() if v}
 
     def test_tol_mode_payloads_are_not_aliased(self):
         # the log keeps every payload, so no message may share memory
@@ -709,7 +730,7 @@ class TestLedgerFormulas:
         # the message log alone reproduces every non-empty ledger phase
         cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
         _, fab, _, _ = _cell(cfg, bench.default_algo(name, cfg, T=t, r=r), record_log=True)
-        expected = {p: v for p, v in fab.ledger.phases.items() if v}
+        expected = {p: v for p, v in _per_phase(fab.ledger).items() if v}
         assert dbpnet.replay_totals(fab.dump_log()) == expected
 
     @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
@@ -764,9 +785,9 @@ class TestLedgerFormulas:
         cfg = _cfg()
         fab, _, _ = _fabric(cfg, kind="daisy")
         dbpnet.run_bcd_daisy(fab, 1.0, sweeps=3)
-        iterations = [v for p, v in fab.ledger.phases.items()
-                      if p.startswith("iteration[")]
+        phases = _per_phase(fab.ledger)
+        iterations = [v for p, v in phases.items() if p.startswith("iteration[")]
         assert len(iterations) == 3
         assert len(set(iterations)) == 1
         # each sweep: C hops of (K x K) + (K x N)
-        assert fab.ledger.phases["iteration[0]"] == 2 * 4 * (4 * 4 + 4 * 64)
+        assert phases["iteration[0]"] == 2 * 4 * (4 * 4 + 4 * 64)

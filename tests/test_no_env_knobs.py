@@ -28,6 +28,8 @@ def _env_uses(path: Path):
 
 
 def test_no_module_reads_the_environment():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in SRC.glob("*.py")}, SRC
     found = [f"{path.name}:{line}: {text}"
              for path in sorted(SRC.glob("*.py")) for line, text in _env_uses(path)]
     assert found == []

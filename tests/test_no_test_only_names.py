@@ -43,6 +43,8 @@ def _benchmark_text() -> str:
 
 
 def test_no_name_is_read_only_by_tests():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in SRC.glob("*.py")}, SRC
     defs, attrs, loads = _definitions_and_reads()
     bench_text = _benchmark_text()
     unread = [f"{module}:{name}" for module, name, is_method in defs

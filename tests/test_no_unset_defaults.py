@@ -60,6 +60,8 @@ def _calls():
 
 
 def test_every_default_is_set_by_some_call():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in SRC.glob("*.py")}, SRC
     positions, keywords = _calls()
     unset = [f"{module}:{name}({param}=)"
              for path in sorted(SRC.glob("*.py"))

@@ -31,4 +31,6 @@ def _unused(path: Path) -> list[str]:
 
 
 def test_every_import_is_read():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in FILES}, ROOT
     assert [u for path in FILES for u in _unused(path)] == []

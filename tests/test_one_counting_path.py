@@ -52,6 +52,8 @@ class _Finder(ast.NodeVisitor):
 
 
 def test_one_function_counts_and_logs_every_message():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in SRC.glob("*.py")}, SRC
     found = {}
     for path in sorted(SRC.glob("*.py")):
         finder = _Finder(path.stem)

@@ -31,6 +31,8 @@ def _clauses(node, where):
 
 
 def test_only_run_cell_catches_numerics_errors():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in SRC.glob("*.py")}, SRC
     found = [clause for path in sorted(SRC.glob("*.py"))
              for clause in _clauses(ast.parse(path.read_text(encoding="utf-8")),
                                     (path.name, None))]

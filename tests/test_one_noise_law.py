@@ -27,6 +27,8 @@ def _power_calls(node, scope):
 
 
 def test_only_colored_noise_applies_the_powers():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in SRC.glob("*.py")}, SRC
     found = [where for path in sorted(SRC.glob("*.py"))
              for where in _power_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     assert [where for where in found if where != "verify.check_lrd"] == ["scenario.colored_noise"]

@@ -27,6 +27,8 @@ def _ring_rules(node, scope):
 
 
 def test_only_topology_next_states_the_ring_rule():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in SRC.glob("*.py")}, SRC
     found = [where for path in sorted(SRC.glob("*.py"))
              for where in _ring_rules(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     assert found == ["dbpnet.Topology.next"]

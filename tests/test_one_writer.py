@@ -32,4 +32,6 @@ def _writers():
 
 
 def test_only_the_cli_opens_files_for_writing():
+    # a copy run from elsewhere finds no package and must fail, not pass vacuously
+    assert {"numerics.py", "ledger.py"} <= {p.name for p in SRC.glob("*.py")}, SRC
     assert set(_writers()) == {"cli.py"}
