@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 
 from . import bench, dbpnet, verify
 from .bench import RunSpec, default_algo
-from .scenario import (CHANNEL_MODELS, MODULATIONS, ConfigError, SystemConfig,
-                       gen_realization, gen_symbol_block)
+from .scenario import CHANNEL_MODELS, MODULATIONS, ConfigError, SystemConfig
 
 
 def _integer(value) -> int:
@@ -190,12 +189,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _message_log(spec: RunSpec) -> str:
     """One trial's message log; a failed algorithm logs a ``# FAIL`` line."""
     cfg = spec.cfg.with_updates(snr_db=spec.snr_grid[0])
-    rz = gen_realization(cfg, 0)
-    block = gen_symbol_block(cfg, rz, 0)
     lines = []
-    for algo in spec.algorithms:
+    for algo, cell in verify.trial_cells(cfg, spec.algorithms, record_log=True):
         lines.append(f"# algorithm={algo.label}")
-        cell = dbpnet.run_cell(algo, rz, block.Y, cfg, record_log=True)
         lines.append(f"# FAIL {cell.error}" if cell.error else cell.fabric.dump_log())
     return "\n".join(lines) + "\n"
 

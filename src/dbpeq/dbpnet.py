@@ -182,12 +182,14 @@ def make_fabric(realization: Realization, y: np.ndarray, kind: str, n_coh: int,
 
 
 def replay_totals(log_text: str) -> dict[str, int]:
-    """Independent ledger recomputation from a message-log dump."""
+    """Independent recomputation of a ledger's nonzero phases from a message-log
+    dump, a label ``iteration[t]`` counted under ``iteration``."""
     totals: dict[str, int] = {}
     for line in log_text.splitlines():
         if not line.strip():
             continue
-        phase, _src, _dst, _kind, rows, cols, _entries = line.split(",")
+        label, _src, _dst, _kind, rows, cols, _entries = line.split(",")
+        phase = label.partition("[")[0]
         totals[phase] = totals.get(phase, 0) + 2 * int(rows) * int(cols)
     return totals
 
@@ -373,14 +375,14 @@ def run_bcd_daisy(fabric: Fabric, es: float, sweeps: Optional[int] = None,
     z = np.hstack([hpd_solve(atot, gram), b_acc])
 
     # each hop's route of the bcd_a and bcd_b views of the one state that the
-    # loop steps in place, bound at the first hop; hop i of sweep t charges sweep t
+    # loop steps in place, bound at the first hop; sweep t only labels the log
     routes = []
 
     def pass_on(t: int, i: int, z: np.ndarray) -> None:
         if t == i == 0:
             payloads = (("bcd_a", z[:, :k]), ("bcd_b", z[:, k:]))
             routes[:] = [fabric.route(c, fabric.topology.next(c), payloads) for c in ring]
-        routes[i].send(t)
+        routes[i].send("iteration", t)
 
     n_sweeps = eq.bcd_iterate(factors, wb, z, limit, tol,
                               scopes=[fabric.local(c) for c in ring], after=pass_on)

@@ -1,8 +1,8 @@
 """Message accounting: a :class:`_Route`, bound by :meth:`dbpeq.dbpnet.Fabric.route`
 to the messages of one hop, is the one path that adds entries to a
 :class:`BandwidthLedger` and logs a :class:`Message` per payload; each of its
-sends is one hop to a named phase or a BCD sweep's list slot, its payloads
-logged in order under one phase and link."""
+sends is one hop charged to one of the ledger's four phases, its payloads
+logged in order under one label and link."""
 
 from __future__ import annotations
 
@@ -35,18 +35,17 @@ class Message:
 
 
 class BandwidthLedger:
-    """Counts of real entries moved over the fabric: named phases in ``phases``,
-    BCD sweep t in slot t of ``sweep_phases`` (logged as ``iteration[t]``), so a
-    sweep costs one list slot; only :meth:`_Route.send` adds to either."""
+    """Counts of real entries moved over the fabric, the four totals of ``phases``;
+    a BCD sweep charges ``iteration``, its index only labelling the log, so it
+    costs the ledger no entry. Only :meth:`_Route.send` adds to them."""
 
     def __init__(self, n_coh: int):
         self.n_coh = int(n_coh)
-        self.phases: dict[str, int] = {"preprocessing": 0, "lrd": 0, "symbol_estimation": 0}
-        self.sweep_phases: list[int] = []
+        self.phases = {"preprocessing": 0, "lrd": 0, "iteration": 0, "symbol_estimation": 0}
 
     @property
     def total(self) -> int:
-        return sum(self.phases.values()) + sum(self.sweep_phases)
+        return sum(self.phases.values())
 
     def per_symbol_average(self) -> Fraction:
         """Exact per-symbol average: total entries over the coherence block."""
@@ -55,13 +54,14 @@ class BandwidthLedger:
 
 class _Route:
     """Messages bound to one link; :meth:`send` adds their entry count, fixed
-    at bind, to a ledger phase and, if ``log`` is a list, logs each in order
-    with a copy, a snapshot even of a view a later step writes."""
+    at bind, to a phase the ledger names (else KeyError, before any log) and,
+    if ``log`` is a list, logs each in order with a copy, a snapshot even of
+    a view a later step writes, labelled ``phase[sweep]`` given a sweep."""
 
-    __slots__ = ("_phases", "_sweep_phases", "_log", "_link", "_msgs", "_entries")
+    __slots__ = ("_phases", "_log", "_link", "_msgs", "_entries")
 
     def __init__(self, ledger: BandwidthLedger, log: list | None, link: tuple[int, int], payloads):
-        self._phases, self._sweep_phases = ledger.phases, ledger.sweep_phases
+        self._phases = ledger.phases
         self._log, self._link = log, link
         self._msgs, size = [], 0
         for kind, payload in payloads:
@@ -72,18 +72,11 @@ class _Route:
             size += arr.size
         self._entries = 2 * size
 
-    def send(self, phase: str | int) -> None:
-        if isinstance(phase, str):
-            phases = self._phases
-            phases[phase] = phases.get(phase, 0) + self._entries
-        else:  # BCD sweep t = phase; its first hop opens slot t
-            sweep_phases = self._sweep_phases
-            if phase == len(sweep_phases):
-                sweep_phases.append(0)
-            sweep_phases[phase] += self._entries
+    def send(self, phase: str, sweep: int | None = None) -> None:
+        self._phases[phase] += self._entries
         if self._log is not None:
             src, dst = self._link
-            label = phase if isinstance(phase, str) else f"iteration[{phase}]"
+            label = phase if sweep is None else f"{phase}[{sweep}]"
             for kind, arr in self._msgs:
                 rows, cols = (arr.shape + (1, 1))[:2]
                 self._log.append(Message(label, src, dst, kind, rows, cols, arr.copy()))

@@ -196,13 +196,19 @@ def check_lrd(cfg: SystemConfig, count: int, seed: int, exact_count: int) -> Che
                        f"over {count} instances")
 
 
-def ledger_rows(cfg: SystemConfig, specs):
-    """Yield (spec, closed form, ledger or the failed Cell's error) of each spec,
-    each run on trial 0 of ``cfg``, drawn once: the ledger property's one table."""
+def trial_cells(cfg: SystemConfig, specs, record_log: bool = False):
+    """Yield (spec, Cell) of each spec, each run on trial 0 of ``cfg``, drawn once:
+    the one inspection trial of ``dbpeq bandwidth`` and ``--dump-messages``."""
     rz = gen_realization(cfg, 0)
     y = gen_symbol_block(cfg, rz, 0).Y
     for algo in specs:
-        cell = dbpnet.run_cell(algo, rz, y, cfg)
+        yield algo, dbpnet.run_cell(algo, rz, y, cfg, record_log=record_log)
+
+
+def ledger_rows(cfg: SystemConfig, specs):
+    """Yield (spec, closed form, ledger or the failed Cell's error) of each spec
+    of :func:`trial_cells`: the ledger property's one table."""
+    for algo, cell in trial_cells(cfg, specs):
         yield (algo, dbpnet.ALGORITHMS[algo.name].entries(cfg, algo),
                cell.error or cell.fabric.ledger.per_symbol_average())
 

@@ -48,11 +48,13 @@ def _route_send(fab, phase, src, dst, kind, payload):
     fab.route(src, dst, ((kind, payload),)).send(phase)
 
 
-def _per_phase(ledger):
-    """Both stores of ``ledger`` as one dict of phase name to entries, sweep t
-    under the name ``iteration[t]`` that its messages are logged under."""
-    sweeps = {f"iteration[{t}]": v for t, v in enumerate(ledger.sweep_phases)}
-    return {**ledger.phases, **sweeps}
+def _label_totals(fab):
+    """Entries of ``fab``'s message log summed per label, in first-logged order,
+    so BCD sweep t is its own ``iteration[t]``."""
+    totals = {}
+    for m in fab.log:
+        totals[m.phase] = totals.get(m.phase, 0) + m.real_entry_count
+    return totals
 
 
 def _check_illegal_link_raises_every_time(send):
@@ -150,16 +152,31 @@ class TestTopology:
         z = np.arange(12, dtype=complex).reshape(2, 6)
         route = fab.route(1, 2, (("bcd_a", z[:, :2]), ("bcd_b", z[:, 2:])))
         assert fab.ledger.total == 0 and fab.log == []   # binding sends nothing
-        route.send("iteration[0]")
+        route.send("iteration", 0)
         z += 100                                        # write the bound views
-        route.send("iteration[1]")
+        route.send("iteration", 1)
         assert [m.kind for m in fab.log] == ["bcd_a", "bcd_b"] * 2
         assert [(m.rows, m.cols) for m in fab.log] == [(2, 2), (2, 4)] * 2
         for first, second in zip(fab.log[:2], fab.log[2:]):
             np.testing.assert_array_equal(second.payload, first.payload + 100)
-        assert fab.ledger.phases["iteration[0]"] == fab.ledger.phases["iteration[1]"] == 24
+        assert _label_totals(fab) == {"iteration[0]": 24, "iteration[1]": 24}
+        assert fab.ledger.phases["iteration"] == 48
         expected = {p: v for p, v in fab.ledger.phases.items() if v}
         assert dbpnet.replay_totals(fab.dump_log()) == expected
+
+    @pytest.mark.parametrize("phase", ["iteration[0]", "p"])
+    def test_unnamed_phase_raises_and_counts_nothing(self, phase):
+        # the ledger's phases are fixed at four, so a send to any other name
+        # raises before it counts or logs, and opens no fifth phase
+        fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
+        route = fab.route(1, 2, (("k", np.zeros((2, 3))),))
+        route.send("preprocessing")
+        with pytest.raises(KeyError):
+            route.send(phase)
+        assert fab.ledger.total == 12
+        assert list(fab.ledger.phases) == ["preprocessing", "lrd", "iteration",
+                                           "symbol_estimation"]
+        assert [m.phase for m in fab.log] == ["preprocessing"]
 
 
 class TestLocality:
@@ -273,34 +290,38 @@ class TestMessages:
         fab, _, _ = _fabric(cfg, kind="daisy", record_log=True)
         dbpnet.run_bcd_daisy(fab, 1.0, sweeps=2)
         totals = dbpnet.replay_totals(fab.dump_log())
-        phases = _per_phase(fab.ledger)
+        phases = fab.ledger.phases
         assert sum(totals.values()) == fab.ledger.total
         assert totals["preprocessing"] == phases["preprocessing"]
-        assert totals["iteration[0]"] == phases["iteration[0]"]
-        assert totals["iteration[1]"] == phases["iteration[1]"]
+        assert totals["iteration"] == phases["iteration"]
         assert totals["symbol_estimation"] == phases["symbol_estimation"]
+        # the log alone keeps each sweep's share, and the two sum to iteration
+        labels = _label_totals(fab)
+        assert labels["iteration[0]"] + labels["iteration[1]"] == phases["iteration"]
 
     def test_replay_matches_ledger_in_tol_mode(self):
         fab, _, _ = _fabric(_cfg(), kind="daisy", record_log=True)
         res, _ = dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-6)
         assert res.iterations > 1
-        phases = _per_phase(fab.ledger)
-        sweeps = [p for p in phases if p.startswith("iteration[")]
+        sweeps = [p for p in _label_totals(fab) if p.startswith("iteration[")]
         assert sweeps == [f"iteration[{t}]" for t in range(res.iterations)]
-        expected = {p: v for p, v in phases.items() if v}
+        expected = {p: v for p, v in fab.ledger.phases.items() if v}
         assert dbpnet.replay_totals(fab.dump_log()) == expected
 
-    def test_a_sweep_costs_one_list_slot(self):
-        # a capped tol-mode run: the named phases stay the three of a fresh
-        # ledger, each sweep adds one slot, and the log still names iteration[t]
+    def test_a_sweep_costs_the_ledger_no_entry(self):
+        # a capped tol-mode run: the phases stay the four of a fresh ledger,
+        # every sweep charges iteration, and the log still names iteration[t]
         c, k, n = 4, 4, 8
         fab, _, _ = _fabric(_cfg(N=n), kind="daisy", record_log=True)
         res, _ = dbpnet.run_bcd_daisy(fab, 1.0, tol=1e-300, max_sweeps=1000)
         assert res.iterations == 1000
-        assert list(fab.ledger.phases) == ["preprocessing", "lrd", "symbol_estimation"]
-        assert fab.ledger.sweep_phases == [2 * c * k * (k + n)] * 1000
+        assert list(fab.ledger.phases) == ["preprocessing", "lrd", "iteration",
+                                           "symbol_estimation"]
+        assert fab.ledger.phases["iteration"] == 1000 * 2 * c * k * (k + n)
+        sweeps = [p for p in _label_totals(fab) if p.startswith("iteration[")]
+        assert sweeps == [f"iteration[{t}]" for t in range(1000)]
         assert dbpnet.replay_totals(fab.dump_log()) == \
-            {p: v for p, v in _per_phase(fab.ledger).items() if v}
+            {p: v for p, v in fab.ledger.phases.items() if v}
 
     def test_tol_mode_payloads_are_not_aliased(self):
         # the log keeps every payload, so no message may share memory
@@ -389,9 +410,9 @@ def test_one_route_send_per_hop(monkeypatch, name):
     sends = []
     send = ledger._Route.send
 
-    def spy_send(route, phase):
-        sends.append(phase)
-        send(route, phase)
+    def spy_send(route, *args):
+        sends.append(args)
+        send(route, *args)
 
     monkeypatch.setattr(ledger._Route, "send", spy_send)
     cfg = _cfg()
@@ -730,7 +751,7 @@ class TestLedgerFormulas:
         # the message log alone reproduces every non-empty ledger phase
         cfg = _cfg(M=m, K=k, C=c, N=n, n_coh=ncoh)
         _, fab, _, _ = _cell(cfg, bench.default_algo(name, cfg, T=t, r=r), record_log=True)
-        expected = {p: v for p, v in _per_phase(fab.ledger).items() if v}
+        expected = {p: v for p, v in fab.ledger.phases.items() if v}
         assert dbpnet.replay_totals(fab.dump_log()) == expected
 
     @pytest.mark.parametrize("m,k,c,n,ncoh,t,r", GRID)
@@ -783,11 +804,12 @@ class TestLedgerFormulas:
 
     def test_iteration_phase_costs_are_uniform(self):
         cfg = _cfg()
-        fab, _, _ = _fabric(cfg, kind="daisy")
+        fab, _, _ = _fabric(cfg, kind="daisy", record_log=True)
         dbpnet.run_bcd_daisy(fab, 1.0, sweeps=3)
-        phases = _per_phase(fab.ledger)
-        iterations = [v for p, v in phases.items() if p.startswith("iteration[")]
+        labels = _label_totals(fab)
+        iterations = [v for p, v in labels.items() if p.startswith("iteration[")]
         assert len(iterations) == 3
         assert len(set(iterations)) == 1
         # each sweep: C hops of (K x K) + (K x N)
-        assert phases["iteration[0]"] == 2 * 4 * (4 * 4 + 4 * 64)
+        assert labels["iteration[0]"] == 2 * 4 * (4 * 4 + 4 * 64)
+        assert fab.ledger.phases["iteration"] == sum(iterations)
