@@ -31,6 +31,7 @@ from .numerics import (
     NotPositiveDefinite,
     RankOutOfRange,
     ShapeMismatch,
+    chol_solve,
     daxpy,
     ddot,
     dgemm,
@@ -39,7 +40,6 @@ from .numerics import (
     hpd_factor_solve,
     hpd_solve,
     truncated_svd,
-    zpotrs,
 )
 from .scenario import ConfigError, sample_covariance, whole_number
 
@@ -292,8 +292,7 @@ def bcd_sweep_step(block: BcdBlockFactor, z: np.ndarray, w_c: np.ndarray) -> Non
     a_others = z[:, :k] - w_c @ h_c
     b_others = z[:, k:] - w_c @ samples_c
     num = block.hh_es - a_others @ block.hh_es - b_others @ block.sh
-    w_new, _ = zpotrs(block.chol, num.conj().T, lower=1)
-    w_new = w_new.conj().T
+    w_new = chol_solve(block.chol, num.conj().T).conj().T
     w_c[...] = w_new
     np.add(a_others, w_new @ h_c, out=z[:, :k])
     np.add(b_others, w_new @ samples_c, out=z[:, k:])

@@ -9,16 +9,16 @@ expression in the equalizer math is realized as a Cholesky solve here.
 An HPD input is checked, not symmetrized (its producer calls
 :func:`hermitize`), and its lower triangle is factored.
 
-This is the one module that binds scipy. The package needs five of its
-compiled routines: ``dgemm``, ``daxpy`` and ``ddot`` from BLAS, and
-``zpotrf`` and ``zpotrs`` from LAPACK. :func:`_scipy_linalg_module` loads
-scipy's f2py extensions ``scipy.linalg._fblas`` and
-``scipy.linalg._flapack`` from their files, under those names, so
-``scipy/linalg/__init__.py`` never runs: it clones numpy's namespace and
-would load about 300 more modules, ``numpy.f2py`` and ``numpy.testing``
-among them. The routines are the very objects that ``scipy.linalg.blas``
-and ``scipy.linalg.lapack`` export, in either import order, so no result
-moves by a bit. A missing file raises :class:`ImportError`.
+This is the one module that binds scipy: it needs ``dgemm``, ``daxpy``,
+``ddot`` and ``ztrsm`` from BLAS. :func:`_scipy_linalg_module` loads
+scipy's f2py extension ``scipy.linalg._fblas`` from its file, under that
+name, so ``scipy/linalg/__init__.py`` never runs: it clones numpy's
+namespace and would load about 300 more modules. The routines are the
+very objects that ``scipy.linalg.blas`` exports, in either import order.
+A missing file raises :class:`ImportError`. The Cholesky factorization
+is numpy's and its solve is the two ``ztrsm`` calls of LAPACK's
+``zpotrs``, which give the bits of ``zpotrf`` and ``zpotrs`` without
+loading scipy's 2.5 MB LAPACK extension ``_flapack``.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ def _scipy_linalg_module(name: str):
 
 
 _fblas = _scipy_linalg_module("_fblas")
-_flapack = _scipy_linalg_module("_flapack")
-dgemm, daxpy, ddot = _fblas.dgemm, _fblas.daxpy, _fblas.ddot
-zpotrf, zpotrs = _flapack.zpotrf, _flapack.zpotrs
+dgemm, daxpy, ddot, ztrsm = _fblas.dgemm, _fblas.daxpy, _fblas.ddot, _fblas.ztrsm
 
 HERM_TOL = 1e-10
 RIDGE_EPS = 1e-12
@@ -118,11 +116,12 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def hpd_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky-factor a Hermitian positive-definite matrix.
 
-    A is checked, not symmetrized: ||A - A^H|| beyond HERM_TOL raises
+    A is checked, not symmetrized: a NaN or Inf entry raises
+    :class:`NumericsError`, ||A - A^H|| beyond HERM_TOL raises
     :class:`NotHermitian`, and the lower triangle of A is factored. If
     that fails, one ridge retry ``A + eps*tr(A)/n*I`` is attempted
     before raising :class:`NotPositiveDefinite`. Returns the lower factor
-    L (A = L L^H; the strict upper triangle holds leftovers of A), which
+    L (A = L L^H; Fortran-ordered, strict upper triangle zero), which
     feeds :func:`hpd_factor_solve` and may be reused across many
     right-hand sides (e.g. one factorization per BCD block per realization).
     """
@@ -131,28 +130,33 @@ def hpd_factor(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"hpd_factor needs a square matrix, got {a.shape}")
     n = a.shape[0]
-    # ||A|| matters only past HERM_TOL
-    asym = float(np.linalg.norm(a - a.conj().T))
+    # ||A - A^H|| is NaN or Inf when an entry of A is (vdot skips the Python
+    # layers of np.linalg.norm); ||A|| matters only past HERM_TOL
+    d = a - a.conj().T
+    asym = float(np.sqrt(np.vdot(d, d).real))
+    if not np.isfinite(asym):
+        raise NumericsError("matrix contains NaN or Inf entries")
     if asym > HERM_TOL and asym > HERM_TOL * float(np.linalg.norm(a)):
         raise NotHermitian(f"asymmetry {asym:.3e} beyond tolerance")
-    chol, info = zpotrf(a, lower=1, clean=0)
-    if info > 0:
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         _ridge_retries += 1
         ridge = RIDGE_EPS * np.trace(a).real / n
-        warnings.warn(
-            f"HPD factorization failed; retrying with ridge {ridge:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        chol, info = zpotrf(a + ridge * np.eye(n), lower=1, clean=0)
-        if info > 0:
-            raise NotPositiveDefinite(
-                "factorization pivot <= 0 even after ridge; "
-                "degenerate covariance"
-            )
-    if info < 0:
-        raise NumericsError(f"zpotrf rejected argument {-info}")
-    return chol
+        warnings.warn(f"HPD factorization failed; retrying with ridge {ridge:.3e}",
+                      RuntimeWarning, stacklevel=2)
+        try:
+            chol = np.linalg.cholesky(a + ridge * np.eye(n))
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("factorization pivot <= 0 even after ridge; "
+                                      "degenerate covariance") from None
+    return np.asfortranarray(chol)   # the layout ztrsm reads without a copy
+
+
+def chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unchecked A X = B from A's lower factor L: the two ``ztrsm`` calls of LAPACK ``zpotrs``."""
+    # L Y = B, then L^H X = Y over Y: alpha, a, b, side, lower, trans_a (2: ^H), diag, overwrite_b
+    return ztrsm(1.0, chol, ztrsm(1.0, chol, b, 0, 1, 0, 0), 0, 1, 2, 0, 1)
 
 
 def hpd_factor_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,10 +164,7 @@ def hpd_factor_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     if np.ndim(chol) != 2 or b.ndim == 0 or b.shape[0] != chol.shape[0]:
         raise ShapeMismatch(f"rhs {b.shape} does not fit factor {np.shape(chol)}")
-    x, info = zpotrs(chol, b, lower=1)
-    if info < 0:
-        raise NumericsError(f"zpotrs rejected argument {-info}")
-    return x
+    return chol_solve(chol, b)
 
 
 def hpd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

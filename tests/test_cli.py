@@ -29,11 +29,12 @@ PINNED_CORE = "SkylakeX"
 
 
 def _openblas_builds() -> str:
-    """The build and core that scipy's and numpy's OpenBLAS report, read from the loaded libraries."""
+    """The routines each OpenBLAS build serves, and the build and core its library reports."""
     found = []
     for owner, module, symbol in [
-            ("scipy", numerics._fblas, "scipy_openblas_get_config"),
-            ("numpy", np._core._multiarray_umath, "scipy_openblas_get_config64_")]:
+            ("scipy (dgemm, daxpy, ddot, ztrsm)", numerics._fblas, "scipy_openblas_get_config"),
+            ("numpy (Cholesky factorization, products, SVD)", np._core._multiarray_umath,
+             "scipy_openblas_get_config64_")]:
         get_config = getattr(ctypes.CDLL(module.__file__), symbol, None)
         if get_config is None:
             found.append(f"{owner}: no {symbol}")

@@ -72,13 +72,37 @@ class TestHpdSolve:
 
     def test_factor_and_solve_match_scipy(self):
         rng = np.random.default_rng(6)
-        for n in (1, 4, 8, 32):
+        for n in (1, 2, 4, 8, 32, 33, 65):
             a = numerics.hermitize(_rand_hpd(rng, n))
             b = _rand_complex(rng, (n, 3))
             cf, ref = numerics.hpd_factor(a), sla.cho_factor(a, lower=True)
-            np.testing.assert_array_equal(cf, ref[0])
+            # LAPACK leaves A's upper triangle in place; numpy's factor zeroes it
+            np.testing.assert_array_equal(cf, np.tril(ref[0]))
             np.testing.assert_array_equal(numerics.hpd_factor_solve(cf, b),
                                           sla.cho_solve(ref, b))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # Inf - Inf
+    @pytest.mark.parametrize("where", ["nan-diagonal", "nan-off", "inf-diagonal",
+                                       "inf-off", "inf-off-both", "inf-imag-diagonal"])
+    def test_rejects_non_finite(self, where):
+        # a typed error, not a NaN or Inf factor
+        a = np.eye(3, dtype=complex)
+        if where == "nan-diagonal":
+            a[1, 1] = np.nan
+        elif where == "nan-off":
+            a[0, 2] = complex(np.nan, np.nan)
+        elif where == "inf-diagonal":
+            a[2, 2] = np.inf
+        elif where == "inf-off":
+            a[1, 0] = np.inf
+        elif where == "inf-off-both":
+            a[1, 0] = a[0, 1] = np.inf
+        else:
+            a[0, 0] = complex(1.0, np.inf)
+        with pytest.raises(numerics.NumericsError, match="NaN or Inf"):
+            numerics.hpd_factor(a)
+        with pytest.raises(numerics.NumericsError, match="NaN or Inf"):
+            numerics.hpd_solve(a, np.eye(3))
 
     def test_rejects_non_hermitian(self):
         rng = np.random.default_rng(5)
@@ -238,10 +262,11 @@ class TestSvd:
                 np.testing.assert_array_equal(dec.V, full.V[:, :r])
 
 
-def _fresh_python(code: str) -> list[str]:
-    """The words a new interpreter prints for ``code``, with the package on its path."""
+def _fresh_python(code: str, **env: str) -> list[str]:
+    """The words a new interpreter prints for ``code``, with the package on its path and ``env``."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path, **env},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
@@ -260,13 +285,69 @@ class TestScipyBinding:
         words = _fresh_python(
             f"import {first}\n"
             "from dbpeq import numerics\n"
-            "from scipy.linalg import blas, lapack\n"
-            "for name, mod in [('dgemm', blas), ('daxpy', blas), ('ddot', blas),\n"
-            "                  ('zpotrf', lapack), ('zpotrs', lapack)]:\n"
-            "    print(name, getattr(numerics, name) is getattr(mod, name))")
-        assert words == ["dgemm", "True", "daxpy", "True", "ddot", "True",
-                         "zpotrf", "True", "zpotrs", "True"]
+            "from scipy.linalg import blas\n"
+            "for name in ['dgemm', 'daxpy', 'ddot', 'ztrsm']:\n"
+            "    print(name, getattr(numerics, name) is getattr(blas, name))")
+        assert words == ["dgemm", "True", "daxpy", "True", "ddot", "True", "ztrsm", "True"]
+
+    def test_import_leaves_lapack_extension_unloaded(self):
+        # the factorization is numpy's and the solve is BLAS, so scipy's
+        # 2.5 MB LAPACK extension has no routine to serve
+        assert _fresh_python("import sys, dbpeq, dbpeq.cli\n"
+                             "print('scipy.linalg._flapack' in sys.modules)") == ["False"]
 
     def test_missing_extension_names_the_path(self):
         with pytest.raises(ImportError, match=r"^no compiled _absent in .*scipy.linalg$"):
             numerics._scipy_linalg_module("_absent")
+
+
+def _cpu_flags() -> set[str]:
+    """The feature flags of this CPU, as Linux lists them in /proc/cpuinfo (none elsewhere)."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines()
+                 if line.startswith("flags")), set())
+
+
+# OpenBLAS core types and the CPU flag each needs; Linux names SSE3 "pni"
+CORE_TYPES = [("SkylakeX", "avx512f"), ("Haswell", "avx2"),
+              ("Sandybridge", "avx"), ("Prescott", "pni")]
+
+# numpy's factor and the two-ztrsm solve against LAPACK's own zpotrf and
+# zpotrs, at the desk sizes and a few drawn ones; prints one line per size
+CORE_CHECK = """
+import ctypes
+import numpy as np
+from scipy.linalg import lapack
+from dbpeq import numerics
+
+rng = np.random.default_rng(0)
+for n in [4, 8, 32, *rng.integers(1, 70, 5).tolist()]:
+    x = rng.standard_normal((n, n + 4)) + 1j * rng.standard_normal((n, n + 4))
+    a = numerics.hermitize(x @ x.conj().T / (n + 4))
+    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    ref, info = lapack.zpotrf(a, lower=1, clean=1)
+    chol = numerics.hpd_factor(a)
+    print(f"n={n}", info == 0 and np.array_equal(chol, ref),
+          np.array_equal(numerics.hpd_factor_solve(chol, b), lapack.zpotrs(ref, b, lower=1)[0]))
+for module, symbol in [(numerics._fblas, "scipy_openblas_get_corename"),
+                       (np._core._multiarray_umath, "scipy_openblas_get_corename64_")]:
+    corename = getattr(ctypes.CDLL(module.__file__), symbol, None)
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        print(f"{symbol}={corename().decode()}")
+"""
+
+
+class TestCoreTypes:
+    @pytest.mark.parametrize("core, flag", CORE_TYPES, ids=[core for core, _ in CORE_TYPES])
+    def test_factor_and_solve_match_lapack(self, core, flag):
+        # numpy's OpenBLAS factors, scipy's solves, and LAPACK is the
+        # reference: the bits must agree under every kernel this CPU runs
+        if flag not in _cpu_flags():
+            pytest.skip(f"this CPU lacks {flag}, which OpenBLAS core {core} needs")
+        words = _fresh_python(CORE_CHECK, OPENBLAS_CORETYPE=core)
+        rows = [words[i:i + 3] for i in range(0, len(words), 3) if words[i].startswith("n=")]
+        assert len(rows) == 8 and all(row[1:] == ["True", "True"] for row in rows), (core, words)

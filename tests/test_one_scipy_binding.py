@@ -1,9 +1,9 @@
 """One scipy binding: only ``numerics`` imports from scipy, and nothing imports ``scipy.linalg``.
 
 ``scipy/linalg/__init__.py`` clones numpy's namespace and loads about 300
-modules that the package never calls. ``numerics`` loads the compiled
-BLAS and LAPACK extensions it needs from their files, and every other
-module takes those routines from ``numerics``. Every import statement
+modules that the package never calls. ``numerics`` loads the one compiled
+extension it needs, scipy's BLAS ``_fblas``, from its file, and every
+other module takes its routines from ``numerics``. Every import statement
 under ``src/dbpeq`` is found by walking the AST: a module other than
 ``numerics.py`` that imports anything from ``scipy`` fails, and so does
 any module that imports ``scipy.linalg`` or a name from it.
