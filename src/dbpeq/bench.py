@@ -194,11 +194,14 @@ def run_sweep(spec: RunSpec) -> SerReport:
                 "M": cfg.M, "C": cfg.C, "K": cfg.K, "N": cfg.N,
                 "T": algo.T, "r": algo.r,
             }
-            failed = [c for c in cells if isinstance(c, str)]
-            if failed:  # ``error``, not a CSV field, is the first failed trial's reason
+            failed = [(t, c) for t, c in enumerate(cells) if isinstance(c, str)]
+            if failed:  # ``error``, not a CSV field, names the first failed trial
+                trial, reason = failed[0]
                 row.update(ser="FAIL", mse="FAIL",
                            avg_entries_per_symbol=None, wallclock_s=0.0,
-                           errors=None, symbols=None, error=failed[0])
+                           errors=None, symbols=None,
+                           error=f"{reason} (trial {trial}; {len(failed)} of "
+                                 f"{spec.trials} trials failed)")
             else:  # summed in trial order, so the bytes do not depend on the workers
                 errors, se_sums, entries, seconds = zip(*cells)
                 row.update(ser=sum(errors) / symbols, mse=sum(se_sums) / symbols,

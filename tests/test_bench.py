@@ -176,6 +176,20 @@ class TestRunSweep:
         assert report.row("cdr", 10.0)["ser"] == "FAIL"
         assert report.row("sdr", 10.0)["ser"] != "FAIL"
 
+    def test_failed_row_names_its_first_failed_trial(self, monkeypatch):
+        run_cell, trials = dbpnet.run_cell, iter(range(5))
+
+        def fail_in_trial_3(*args):  # one algorithm and one SNR: call t runs trial t
+            cell = run_cell(*args)
+            return cell._replace(shat=None, error="NotPositiveDefinite: forced") \
+                if next(trials) == 3 else cell
+
+        monkeypatch.setattr(dbpnet, "run_cell", fail_in_trial_3)
+        spec = _spec(algorithms=(AlgoSpec("lmmse"),), snr_grid=(10.0,), trials=5)
+        row = bench.run_sweep(spec).row("lmmse", 10.0)
+        assert row["ser"] == "FAIL"
+        assert row["error"] == "NotPositiveDefinite: forced (trial 3; 1 of 5 trials failed)"
+
     def test_timing_off_by_default(self):
         report = bench.run_sweep(_spec(trials=2, snr_grid=(10.0,)))
         assert all(r["wallclock_s"] == 0.0 for r in report.rows)

@@ -334,6 +334,7 @@ class TestVerify:
         assert _run(["verify", "--filter", "zzz"]) == 1
 
     # both entry points read verify.ledger_rows, so a tampered formula fails both
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv,marker", [
         pytest.param(["verify", "--filter", "ledger"], "FAIL", id="verify"),
         pytest.param(["bandwidth"], " NO", id="bandwidth"),
