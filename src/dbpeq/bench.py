@@ -4,7 +4,8 @@ Sweeps an SNR grid, runs every requested algorithm on shared channel
 realizations and symbol blocks, and reports SER, empirical MSE, and the
 exact per-symbol bandwidth of each algorithm. Trials parallelize over a
 process pool with per-trial RNG substreams; aggregation order is fixed,
-so the CSV is byte-identical for any worker count.
+so the CSV is byte-identical for any worker count. Every cell of the sweep,
+``dbpeq bandwidth`` and ``--dump-messages`` comes from :func:`trial_cells`.
 """
 
 from __future__ import annotations
@@ -110,30 +111,34 @@ def default_algo(name: str, cfg: SystemConfig, T: Optional[int] = None,
                     r=(cfg.n_interf if r is None else r) if "r" in takes else None)
 
 
-def _run_trial(spec: RunSpec, trial: int) -> dict:
-    """All (label, snr) cells of one trial, pure in (spec, trial): the failed Cell's
-    error, or (symbol errors, squared-error sum, entries per symbol, seconds).
-
-    The trial's draws do not depend on the SNR: they are drawn once and
-    scaled at each SNR."""
+def trial_cells(spec: RunSpec, trial: int, record_log: bool = False):
+    """Yield (snr, algo, symbol block, Cell, seconds) of each cell of one trial, pure in
+    (spec, trial). The draws do not depend on the SNR, so they are drawn once and scaled
+    at each SNR; the seconds are 0.0 unless ``spec.timing`` is set."""
     channel = draw_channel(spec.cfg, trial)
     symbols = draw_symbols(spec.cfg, trial)
-    out = {}
     for snr in spec.snr_grid:
         cfg = spec.cfg.with_updates(snr_db=snr)
         realization = scale_channel(cfg, channel)
         block = scale_symbols(cfg, realization, symbols)
         for algo in spec.algorithms:
             t0 = time.perf_counter() if spec.timing else 0.0
-            cell = dbpnet.run_cell(algo, realization, block.Y, cfg)
+            cell = dbpnet.run_cell(algo, realization, block.Y, cfg, record_log=record_log)
             seconds = time.perf_counter() - t0 if spec.timing else 0.0
-            if cell.error:
-                out[(algo.label, snr)] = cell.error
-                continue
-            detected = slice_symbols(cell.shat, cfg.modulation, cfg.Es)
-            out[(algo.label, snr)] = (int(np.sum(detected != block.S)),
-                                      float(np.sum(np.abs(cell.shat - block.S) ** 2)),
-                                      cell.fabric.ledger.per_symbol_average(), seconds)
+            yield snr, algo, block, cell, seconds
+
+
+def _run_trial(spec: RunSpec, trial: int) -> dict:
+    """Per (label, snr) of a trial: the error, or (errors, squared-error sum, entries, seconds)."""
+    out = {}
+    for snr, algo, block, cell, seconds in trial_cells(spec, trial):
+        if cell.error:
+            out[(algo.label, snr)] = cell.error
+            continue
+        detected = slice_symbols(cell.shat, spec.cfg.modulation, spec.cfg.Es)
+        out[(algo.label, snr)] = (int(np.sum(detected != block.S)),
+                                  float(np.sum(np.abs(cell.shat - block.S) ** 2)),
+                                  cell.fabric.ledger.per_symbol_average(), seconds)
     return out
 
 

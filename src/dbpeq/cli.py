@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -187,10 +188,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _message_log(spec: RunSpec) -> str:
-    """One trial's message log; a failed algorithm logs a ``# FAIL`` line."""
-    cfg = spec.cfg.with_updates(snr_db=spec.snr_grid[0])
+    """The sweep's trial 0 at its first SNR, logged; a failed algorithm logs ``# FAIL``."""
     lines = []
-    for algo, cell in verify.trial_cells(cfg, spec.algorithms, record_log=True):
+    first = replace(spec, snr_grid=spec.snr_grid[:1])
+    for _, algo, _, cell, _ in bench.trial_cells(first, 0, record_log=True):
         lines.append(f"# algorithm={algo.label}")
         lines.append(f"# FAIL {cell.error}" if cell.error else cell.fabric.dump_log())
     return "\n".join(lines) + "\n"

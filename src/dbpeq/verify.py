@@ -7,6 +7,7 @@ numbers, its generator seed; it returns a :class:`CheckResult`.
 criteria 01-07 and 09 of ``tests/test_acceptance.py`` call the same
 functions at their own scale; :func:`ledger_rows`, the ledger property's
 one table of ledgers against closed forms, is what ``dbpeq bandwidth`` prints.
+Its cells come from :func:`dbpeq.bench.trial_cells`, the one road to a cell.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import dbpnet, equalizers as eq
-from .bench import default_algo
+from . import bench, dbpnet, equalizers as eq
+from .bench import RunSpec, default_algo
 from .numerics import truncated_svd
 from .scenario import (SystemConfig, _cn, derive_powers, gen_realization,
                        gen_symbol_block, sample_covariance)
@@ -196,19 +197,11 @@ def check_lrd(cfg: SystemConfig, count: int, seed: int, exact_count: int) -> Che
                        f"over {count} instances")
 
 
-def trial_cells(cfg: SystemConfig, specs, record_log: bool = False):
-    """Yield (spec, Cell) of each spec, each run on trial 0 of ``cfg``, drawn once:
-    the one inspection trial of ``dbpeq bandwidth`` and ``--dump-messages``."""
-    rz = gen_realization(cfg, 0)
-    y = gen_symbol_block(cfg, rz, 0).Y
-    for algo in specs:
-        yield algo, dbpnet.run_cell(algo, rz, y, cfg, record_log=record_log)
-
-
 def ledger_rows(cfg: SystemConfig, specs):
-    """Yield (spec, closed form, ledger or the failed Cell's error) of each spec
-    of :func:`trial_cells`: the ledger property's one table."""
-    for algo, cell in trial_cells(cfg, specs):
+    """Yield (spec, closed form, ledger or the failed Cell's error) of each spec on trial
+    0 of ``cfg``, from :func:`dbpeq.bench.trial_cells`: the ledger property's one table."""
+    spec = RunSpec(cfg, tuple(specs), (cfg.snr_db,), trials=1)
+    for _, algo, _, cell, _ in bench.trial_cells(spec, 0):
         yield (algo, dbpnet.ALGORITHMS[algo.name].entries(cfg, algo),
                cell.error or cell.fabric.ledger.per_symbol_average())
 

@@ -1,8 +1,10 @@
 """Monte-Carlo harness: determinism, failure policy, ordering test."""
 
 import concurrent.futures
+from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dbpeq import bench, dbpnet, scenario
@@ -179,8 +181,8 @@ class TestRunSweep:
     def test_failed_row_names_its_first_failed_trial(self, monkeypatch):
         run_cell, trials = dbpnet.run_cell, iter(range(5))
 
-        def fail_in_trial_3(*args):  # one algorithm and one SNR: call t runs trial t
-            cell = run_cell(*args)
+        def fail_in_trial_3(*args, **kwargs):  # one algorithm and one SNR: call t runs trial t
+            cell = run_cell(*args, **kwargs)
             return cell._replace(shat=None, error="NotPositiveDefinite: forced") \
                 if next(trials) == 3 else cell
 
@@ -250,9 +252,9 @@ class TestTrialDraws:
         realizations, blocks = [], []
         run_cell, scale_symbols = dbpnet.run_cell, bench.scale_symbols
 
-        def run_cell_spy(algo, realization, y, cfg):
+        def run_cell_spy(algo, realization, y, cfg, **kwargs):
             realizations.append(realization)
-            return run_cell(algo, realization, y, cfg)
+            return run_cell(algo, realization, y, cfg, **kwargs)
 
         def scale_symbols_spy(*args):
             blocks.append(scale_symbols(*args))
@@ -266,6 +268,26 @@ class TestTrialDraws:
                 + [b.S for b in blocks]:
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_replayed_trial_equals_the_same_trial_in_a_full_run(self, workers):
+        # every cell comes from trial_cells, so trial t replayed alone is trial t of the
+        # sweep; tol-mode entries depend on the draws, so a replay of another trial shows
+        spec = _spec(algorithms=(AlgoSpec("bcd", tol=1e-3), AlgoSpec("lmmse")),
+                     trials=5, workers=workers)
+        errors, entries = defaultdict(int), defaultdict(list)
+        for trial in range(5):
+            for snr, algo, block, cell, _ in bench.trial_cells(spec, trial):
+                detected = scenario.slice_symbols(cell.shat, spec.cfg.modulation, spec.cfg.Es)
+                errors[algo.label, snr] += int(np.sum(detected != block.S))
+                entries[algo.label, snr].append(cell.fabric.ledger.per_symbol_average())
+        assert len(set(entries["bcd", 10.0])) > 1
+        report = bench.run_sweep(spec)
+        assert len(report.rows) == len(errors) == 4
+        for (label, snr), count in errors.items():
+            row = report.row(label, snr)
+            assert row["errors"] == count
+            assert row["avg_entries_per_symbol"] == sum(entries[label, snr], Fraction(0)) / 5
 
 
 def _report(rows):

@@ -107,3 +107,24 @@ def test_tol_sweep_solves_once_per_cell(monkeypatch):
         cfg=cfg, algorithms=(dbpeq.bench.AlgoSpec("bcd", tol=1e-3),),
         snr_grid=(0.0, 10.0), trials=2))
     assert tols == [1e-3] * 4
+
+
+def test_solve_probe_reads_every_tolerance_solve():
+    # every e2 round runs this probe, which reads ``du.cache["S"]`` of each DU after
+    # a daisy solve; nothing else in the package or the suite reads that entry
+    probe = tracing.SolveProbe()
+    cfg = dbpeq.SystemConfig(M=16, K=4, C=4, N=64, n_coh=48, seed=3)
+    rz = dbpeq.scenario.gen_realization(cfg, 0)
+    probe.install(dbpeq)
+    try:
+        dbpeq.bench.run_sweep(dbpeq.bench.RunSpec(
+            cfg=cfg, algorithms=(dbpeq.bench.AlgoSpec("bcd", tol=1e-3),),
+            snr_grid=(0.0, 10.0), trials=2))
+        res = dbpeq.equalizers.bcd_solve(rz.H_blocks(), rz.noise_blocks(), cfg.Es, tol=1e-3)
+    finally:
+        probe.uninstall()
+    assert probe.missing == []
+    assert len(probe.tol_cells) == 4 and probe.tol_solves == 5 and probe.flop_macs > 0
+    assert probe.sweeps == sum(sweeps for sweeps, _, _ in probe.tol_cells) + res.iterations
+    for sweeps, _, entries in probe.tol_cells:
+        assert entries == dbpeq.dbpnet.formula_bcd(cfg.C, cfg.K, cfg.N, sweeps, cfg.n_coh)

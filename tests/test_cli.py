@@ -415,13 +415,13 @@ class TestBandwidth:
 
     def test_channel_and_iot_reach_the_realization(self, monkeypatch, capsys):
         seen = []
-        gen_realization = verify.gen_realization
+        scale_channel = bench.scale_channel
 
-        def spy(cfg, trial):
+        def spy(cfg, draw):
             seen.append(cfg)
-            return gen_realization(cfg, trial)
+            return scale_channel(cfg, draw)
 
-        monkeypatch.setattr(verify, "gen_realization", spy)
+        monkeypatch.setattr(bench, "scale_channel", spy)
         assert _run(["bandwidth", "--channel", "one_ring", "--iot", "3"]) == 0
         assert [(c.channel_model, c.iot_db) for c in seen] == [("one_ring", 3.0)]
 

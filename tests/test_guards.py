@@ -203,6 +203,13 @@ def ring_rule(trees):
                   and any(getattr(side, "attr", None) == "C" for side in (node.left, node.right)))
 
 
+def cell_roads(trees):
+    # ``bench.trial_cells`` is the one road from a trial to its cells: no other scope
+    # runs a cell, so the sweep, the bandwidth table and the message log see one trial
+    return sorted({scope for scope, node in _scopes(trees)
+                   if isinstance(node, ast.Call) and _called(node) == "run_cell"})
+
+
 def scipy_imports(trees):
     """``<module> <scipy module>`` of each import of scipy under ``src/dbpeq``."""
     found = []
@@ -273,6 +280,9 @@ GUARDS = {
     "one-noise-law": Guard(noise_law, ["scenario.colored_noise", "verify.check_lrd"],
                            "def _noise(cfg):\n    return derive_powers(cfg)",
                            PACKAGE + "scenario.py"),
+    "one-cell-road": Guard(cell_roads, ["bench.trial_cells"],
+                           "def _cells(a, rz, y, cfg):\n    return dbpnet.run_cell(a, rz, y, cfg)",
+                           PACKAGE + "verify.py"),
     "one-ring-rule": Guard(ring_rule, ["dbpnet.Topology.next"],
                            "def _hop(fabric, c):\n    return c % fabric.C + 1",
                            PACKAGE + "dbpnet.py"),

@@ -115,7 +115,7 @@ MUTANTS = {
     "M14": Mutant("scenario", "_read_only", "a.setflags(write=False)", "pass",
                   test_scenario.TestGeneration().test_draws_are_read_only, "DID NOT RAISE"),
     # each SNR of a trial draws its channel again
-    "M15": Mutant("bench", "_run_trial", "scale_channel(cfg, channel)",
+    "M15": Mutant("bench", "trial_cells", "scale_channel(cfg, channel)",
                   "scale_channel(cfg, draw_channel(cfg, trial))",
                   _patched(test_bench.TestTrialDraws().test_each_substream_is_opened_once_per_trial),
                   r"== \[\(2, 0\), \(2, 1\)\]"),
